@@ -31,8 +31,8 @@ from .g2flow import (completeness_classify, dga_verify_torsion_free,
                      rk4_stepper_order_selftest, star_phi0)
 from .kernelmap import (LieKernel, dP, dP_properties, multimoment_value, orbit_2plectic_check, pdual)
 from .liealg import LieAlgebra
-from .parser import (expr_of, load_lie_file, parse, parse_form, serialize,
-                     serialize_form, instantiate)
+from .parser import (expr_of, load_lie_file, parse, parse_binding, parse_form,
+                     serialize, serialize_form, instantiate)
 
 SCHEMA = "liekernel-report/1"
 
@@ -75,13 +75,7 @@ def _emit(args, result: dict, mode: str = "exact", tol: float | None = None) -> 
 
 
 def _bindings(args) -> dict:
-    out = {}
-    for item in args.bind or []:
-        if "=" not in item:
-            raise LieKernelError(f"malformed --bind {item!r}, expected name=p/q")
-        key, val = item.split("=", 1)
-        out[key.strip()] = Fraction(val.strip())
-    return out
+    return dict(parse_binding(item) for item in args.bind or [])
 
 
 def _algebra(args) -> LieAlgebra:

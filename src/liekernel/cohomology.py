@@ -5,7 +5,8 @@ de^k = -sum_{i<j} c^k_ij e_ij and extended as an antiderivation; this is
 the alternating-sum formula
 (da)(X_0..X_k) = sum_{i<j} (-1)^{i+j} a([X_i,X_j], X_0..^i..^j..X_k)
 packaged degree by degree, and d o d = 0 is exactly the Jacobi identity.
-Ranks are taken by Bareiss elimination so everything stays exact.
+The differential matrices are kept as sparse rows, and their ranks are
+taken by exact sparse integer elimination (`linalg.rank`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import SubspaceError
-from .exterior import KForm, indices_of, multi_indices, wedge_sign
+from .exterior import KForm, bits_of, indices_of, multi_indices, wedge_sign
 from .liealg import LieAlgebra
 from .linalg import Subspace, nullspace, rank, solve, transpose, vec
 
@@ -27,8 +28,7 @@ def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) ->
     signed Leibniz rule of an antiderivation, for image_degree 1 a plain
     derivation (no alternating sign).
     """
-    n = form.n
-    out = type(form).zero(n, form.k + image_degree - 1)
+    acc: dict[int, object] = {}
     for bits, coeff in form.coeffs.items():
         ixs = indices_of(bits)
         for pos, i in enumerate(ixs):
@@ -38,16 +38,15 @@ def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) ->
             rest = bits ^ (1 << (i - 1))
             # Leibniz alternation combined with moving the image form to the
             # front is (-1)^pos for any image degree.
-            sign = -1 if pos % 2 == 1 else 1
+            signed = -coeff if pos % 2 == 1 else coeff
             for ib, ic in img.coeffs.items():
                 s = wedge_sign(ib, rest)
                 if s == 0:
                     continue
-                c = coeff * ic * (s * sign)
+                c = signed * ic if s > 0 else -(signed * ic)
                 key = ib | rest
-                out.coeffs[key] = out.coeffs.get(key, Fraction(0)) + c
-    out.coeffs = {b: c for b, c in out.coeffs.items() if c}
-    return out
+                acc[key] = acc[key] + c if key in acc else c
+    return type(form)(form.n, form.k + image_degree - 1, acc)
 
 
 class CEComplex:
@@ -57,6 +56,7 @@ class CEComplex:
         if validate:
             algebra.validate()
         self.algebra = algebra
+        self._jacobi = validate  # so d o d = 0, which d_rank relies on
         n = algebra.n
         self._d1 = []
         for k in range(n):
@@ -81,16 +81,16 @@ class CEComplex:
             raise SubspaceError("form lives on a different algebra")
         return extend_as_derivation(self._d1, form, 2)
 
-    def d_rows(self, k: int) -> list:
-        """Row i = coordinates of d(e_I_i), I_i the i-th lex multi-index."""
+    def d_rows(self, k: int) -> list[dict]:
+        """Sparse row i = {j: coefficient of e_J_j in d(e_I_i)}, lex indices."""
         if k not in self._rows:
             n = self.n
-            order = list(multi_indices(n, k + 1))
-            rows = []
-            for ixs in multi_indices(n, k):
-                img = self.d(KForm.from_terms(n, {ixs: Fraction(1)}, k))
-                rows.append(img.vector(order))
-            self._rows[k] = rows
+            col = {bits_of(ixs)[0]: j
+                   for j, ixs in enumerate(multi_indices(n, k + 1))}
+            self._rows[k] = [
+                {col[b]: c for b, c in self.d(
+                    KForm(n, k, {bits_of(ixs)[0]: Fraction(1)})).coeffs.items()}
+                for ixs in multi_indices(n, k)]
         return self._rows[k]
 
     def d_rank(self, k: int) -> int:
@@ -98,7 +98,13 @@ class CEComplex:
             if k >= self.n:
                 self._rank[k] = 0
             else:
-                self._rank[k] = rank(self.d_rows(k))
+                # d o d = 0: each row y of d_{k-1} has y d_k = 0, so the rows
+                # of d_k at the distinct first indices min(y) lie in the span
+                # of the other rows, and dropping them keeps the rank.
+                skip = ({min(y) for y in self.d_rows(k - 1) if y}
+                        if k and self._jacobi else ())
+                rows = [r for i, r in enumerate(self.d_rows(k)) if i not in skip]
+                self._rank[k] = rank(rows, comb(self.n, k + 1))
         return self._rank[k]
 
     def cocycles(self, k: int) -> Subspace:
@@ -110,8 +116,11 @@ class CEComplex:
                                for j in range(dim_k)]) for i in range(dim_k)]
                 self._cocycles[k] = Subspace(dim_k, rows)
             else:
-                mat = transpose(self.d_rows(k)) if self.d_rows(k) else []
-                self._cocycles[k] = Subspace(dim_k, nullspace(mat, dim_k))
+                cols = [{} for _ in range(comb(self.n, k + 1))]
+                for i, row in enumerate(self.d_rows(k)):
+                    for j, q in row.items():
+                        cols[j][i] = q
+                self._cocycles[k] = Subspace(dim_k, nullspace(cols, dim_k))
         return self._cocycles[k]
 
     def coboundaries(self, k: int) -> Subspace:
@@ -134,7 +143,7 @@ class CEComplex:
 
 
 def ce_differential(g: LieAlgebra, k: int):
-    """Matrix of d: Lambda^k -> Lambda^{k+1}; rows are images of lex basis."""
+    """Matrix of d: Lambda^k -> Lambda^{k+1}; sparse rows, images of lex basis."""
     return CEComplex(g).d_rows(k)
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
-from .linalg import Subspace, vec, zeros
+from .linalg import Subspace, vec
 
 Vector = tuple[Fraction, ...]
 
@@ -68,17 +69,20 @@ class LieAlgebra:
         """Check the Jacobi identity once; cached afterwards."""
         if self._validated:
             return self
+        # [e_a, e_b] as {m: D c^m_ab}, D a common denominator: the identity is
+        # quadratic in c, so it holds for D c exactly when it holds for c, and
+        # the cyclic sums run in integers over nonzeros only
+        d = lcm(*(q.denominator for plane in self.c for row in plane for q in row))
+        br = [[{m: q.numerator * (d // q.denominator)
+                for m, q in enumerate(row) if q} for row in plane]
+              for plane in self.c]
         for i, j, k in combinations(range(self.n), 3):
-            total = zeros(self.n)
+            total: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.c[a][b]
-                term = [
-                    sum((inner[m] * self.c[m][c][p] for m in range(self.n)),
-                        Fraction(0))
-                    for p in range(self.n)
-                ]
-                total = tuple(x + y for x, y in zip(total, term))
-            if any(x != 0 for x in total):
+                for m, q in br[a][b].items():
+                    for p, s in br[m][c].items():
+                        total[p] = total.get(p, 0) + q * s
+            if any(total.values()):
                 raise JacobiError(
                     f"Jacobi fails on (e{i+1}, e{j+1}, e{k+1})"
                     + (f" in {self.name}" if self.name else ""))

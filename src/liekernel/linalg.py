@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fractions, matrices are lists (or tuples) of row
-vectors.  Reduced row echelon form is used wherever an explicit basis is
-needed; plain ranks go through Bareiss fraction-free elimination on an
-integer-cleared copy, which keeps intermediate entries as single big
-integers instead of fractions.
+vectors.  `rank`, `rref`, `nullspace` and `Subspace` also take sparse rows,
+dicts {column: value}, given the number of columns.  Every elimination runs
+through one sparse row reduction, `_echelon`, on primitive integer rows:
+denominators are cleared once per row and each row is kept divided by the
+gcd of its entries, so entries stay small integers instead of fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, LieKernelError
 
@@ -22,25 +23,8 @@ def vec(entries) -> Vector:
     return tuple(Fraction(x) for x in entries)
 
 
-def zeros(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
@@ -51,11 +35,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [tuple(dot(row, col) for col in cols) for row in a]
-
-
 def transpose(m: Matrix) -> Matrix:
     return [tuple(col) for col in zip(*m)]
 
@@ -64,68 +43,97 @@ def identity(n: int) -> Matrix:
     return [unit(n, i) for i in range(n)]
 
 
-def rref(rows) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def _clear_denominators(rows) -> list[list[int]]:
-    out = []
+def _sparse(rows, ncols: int | None = None):
+    """Primitive integer dict rows, (d, g) with row_i = (d/g) input_i, ncols."""
+    out, scales = [], []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in fr])
-    return out
+        if isinstance(row, dict):
+            items = row.items()
+        else:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise DimensionMismatch("row has wrong length")
+            items = enumerate(row)
+        fr = {c: q for c, x in items if (q := Fraction(x))}
+        d = lcm(*(q.denominator for q in fr.values()))
+        ints = {c: q.numerator * (d // q.denominator) for c, q in fr.items()}
+        g = gcd(*ints.values()) or 1
+        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
+        scales.append((d, g))
+    return out, scales, ncols or 0
 
 
-def rank(rows) -> int:
-    """Matrix rank via Bareiss fraction-free elimination."""
-    m = _clear_denominators(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            mi, mr = m[i], m[r]
-            fi = mi[c]
-            for j in range(c, ncols):
-                mi[j] = (mi[j] * piv - fi * mr[j]) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _eliminate(r: dict, p: dict, c: int):
+    """(new, a, h), where new = (a r - b p) / h is zero at column c.
+
+    a, b = p_c/g, r_c/g with g = gcd(p_c, r_c), and h is the content.
+    """
+    a, b = p[c], r[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    new = {k: a * v for k, v in r.items()}
+    for k, v in p.items():
+        w = new.get(k, 0) - b * v
+        if w:
+            new[k] = w
+        else:
+            del new[k]  # w == 0 only where r already had column k
+    h = gcd(*new.values()) or 1
+    if h > 1:
+        new = {k: v // h for k, v in new.items()}
+    return new, a, h
+
+
+def _echelon(rows: list[dict]):
+    """Row-reduce primitive integer dict rows in place; the one elimination.
+
+    Rows are taken shortest first, each reduced against the pivot row at its
+    lowest column; a shorter incoming row swaps in as that column's pivot.
+    Returns {pivot column: row index} and every step's (a, h), for `det`.
+    """
+    pivot: dict[int, int] = {}
+    steps = []
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        r = rows[i]
+        while r:
+            c = min(r)
+            j = pivot.get(c)
+            if j is None:
+                pivot[c] = i
+                break
+            p = rows[j]
+            if len(r) < len(p):
+                pivot[c], i, r, p = i, j, p, r
+            r, a, h = _eliminate(r, p, c)
+            steps.append((a, h))
+            rows[i] = r
+    return pivot, steps
+
+
+def rref(rows, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+    """RREF of dense, or sparse with ncols, rows: (nonzero rows, pivot columns)."""
+    m, _, ncols = _sparse(rows, ncols)
+    pivot, _ = _echelon(m)
+    cols = sorted(pivot)
+    out = []
+    # back-substitute from the right: rows of later pivots are already reduced
+    for c in reversed(cols):
+        r = m[pivot[c]]
+        for k in [k for k in r if k > c and k in pivot]:
+            r = _eliminate(r, m[pivot[k]], k)[0]
+        m[pivot[c]] = r
+        lead = r[c]
+        v = [Fraction(0)] * ncols
+        for k, x in r.items():
+            v[k] = Fraction(x, lead)
+        out.append(tuple(v))
+    return out[::-1], cols
+
+
+def rank(rows, ncols: int | None = None) -> int:
+    """Exact rank of dense or sparse rows."""
+    return len(_echelon(_sparse(rows, ncols)[0])[0])
 
 
 def nullspace(rows, ncols: int | None = None) -> Matrix:
@@ -135,10 +143,9 @@ def nullspace(rows, ncols: int | None = None) -> Matrix:
         if not rows:
             raise LieKernelError("nullspace needs ncols for an empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = rref(rows, ncols)
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         for r, p in enumerate(pivots):
@@ -162,27 +169,24 @@ def solve(a_rows, b: Vector) -> Vector | None:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant by fraction-free elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant: the echelon's diagonal with every scaling undone."""
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise DimensionMismatch("determinant of a non-square matrix")
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * d
+    m, scales, _ = _sparse(rows, n)
+    pivot, steps = _echelon(m)
+    if len(pivot) < n:
+        return Fraction(0)
+    slot = [pivot[c] for c in range(n)]
+    # rows never move; the triangle is their permutation into column order
+    swaps = sum(s > t for i, s in enumerate(slot) for t in slot[i + 1:])
+    num, den = -1 if swaps % 2 else 1, 1
+    for c, i in enumerate(slot):
+        num *= m[i][c]
+    for a, h in steps + scales:
+        num, den = num * h, den * a
+    return Fraction(num, den)
 
 
 def inverse(rows) -> Matrix:
@@ -205,12 +209,7 @@ class Subspace:
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
-        basis, pivots = rref([tuple(map(Fraction, r)) for r in rows])
-        for r in basis:
-            if len(r) != ambient:
-                raise DimensionMismatch("basis row has wrong length")
-        self.basis: Matrix = basis
-        self.pivots: list[int] = pivots
+        self.basis, self.pivots = rref(rows, ambient)
 
     @property
     def dim(self) -> int:
@@ -225,29 +224,23 @@ class Subspace:
         Eliminates every pivot coordinate; idempotent, and two vectors
         differing by a subspace element reduce identically.
         """
-        w = list(map(Fraction, v))
-        if len(w) != self.ambient:
-            raise DimensionMismatch("vector has wrong length")
-        for row, p in zip(self.basis, self.pivots):
-            f = w[p]
-            if f:
-                for j in range(self.ambient):
-                    w[j] -= f * row[j]
-        return tuple(w)
+        return self._reduce(v)[0]
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v in the echelon basis, or None if v is outside."""
+        w, coords = self._reduce(v)
+        return None if any(w) else coords
+
+    def _reduce(self, v: Vector) -> tuple[Vector, Vector]:
         w = list(map(Fraction, v))
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            f = w[p]
-            coords.append(f)
+        if len(w) != self.ambient:
+            raise DimensionMismatch("vector has wrong length")
+        coords = tuple(w[p] for p in self.pivots)
+        for row, f in zip(self.basis, coords):
             if f:
                 for j in range(self.ambient):
                     w[j] -= f * row[j]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coords)
+        return tuple(w), coords
 
     def __eq__(self, other) -> bool:
         return (

@@ -408,6 +408,17 @@ class LieFileEntry:
     line: int
 
 
+def parse_binding(item: str) -> tuple[str, Fraction]:
+    """``name=p/q`` as (name, value); BindingError if it is malformed."""
+    key, sep, val = item.partition("=")
+    try:
+        if sep:
+            return key.strip(), Fraction(val.strip())
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise BindingError(f"malformed binding {item!r}, expected name=p/q")
+
+
 def parse_lie_line(line: str, lineno: int = 0) -> LieFileEntry | None:
     """One fixture line: TUPLE [| name=p/q,...] [# key=value ...]."""
     annotations: dict[str, str] = {}
@@ -427,10 +438,8 @@ def parse_lie_line(line: str, lineno: int = 0) -> LieFileEntry | None:
             item = item.strip()
             if not item:
                 continue
-            if "=" not in item:
-                raise BindingError(f"malformed binding {item!r}")
-            key, val = item.split("=", 1)
-            bindings[key.strip()] = Fraction(val.strip())
+            key, val = parse_binding(item)
+            bindings[key] = val
     expr = parse(line.strip())
     return LieFileEntry(expr, bindings, annotations, lineno)
 

@@ -135,6 +135,13 @@ def test_domain_error_exit_code(capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("binding", ["l=abc", "l=1/0", "l"])
+def test_malformed_binding_exit_code(capsys, binding):
+    code, out = run(capsys, "check23", "(0,21,l.31)", "--bind", binding)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BindingError"
+
+
 def test_moment_error_exit_code(capsys):
     code, out = run(capsys, "mmmap", "(0,0,12)", "--psi", "123")
     assert code == 1

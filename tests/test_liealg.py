@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +39,30 @@ def test_antisymmetry_enforced():
     c[0][1][0] = Fraction(1)  # c[1][0][0] left at 0: not antisymmetric
     with pytest.raises(JacobiError):
         LieAlgebra(c)
+
+
+def test_jacobi_witness_is_first_failing_triple(rng):
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        brackets = {(i, j): {rng.randint(1, n): Fraction(rng.randint(-2, 2),
+                                                          rng.randint(1, 3))}
+                    for i, j in combinations(range(1, n + 1), 2)
+                    if rng.random() < 0.5}
+        g = LieAlgebra.from_brackets(n, brackets, name="g", validate=False)
+        e = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        failing = [
+            (i, j, k) for i, j, k in combinations(range(n), 3)
+            if any(sum(t) for t in zip(
+                g.bracket(g.bracket(e[i], e[j]), e[k]),
+                g.bracket(g.bracket(e[j], e[k]), e[i]),
+                g.bracket(g.bracket(e[k], e[i]), e[j])))]
+        if not failing:
+            g.validate()
+            continue
+        i, j, k = failing[0]
+        with pytest.raises(JacobiError) as err:
+            g.validate()
+        assert str(err.value) == f"Jacobi fails on (e{i+1}, e{j+1}, e{k+1}) in g"
 
 
 def test_derived_series_dims(h3, su2):
