@@ -2,7 +2,7 @@
 with a desk-scale G2 symplectic-triple flow component."""
 
 from .cohomology import (CEComplex, CohomologyReport, betti, ce_differential,
-                         invariant_cohomology_dims, is_23_trivial,
+                         complex_of, invariant_cohomology_dims, is_23_trivial,
                          lie_derivative)
 from .errors import (AdmissibilityError, BindingError, DimensionMismatch,
                      FlowError, G2Error, HodgeError, JacobiError,

@@ -31,8 +31,9 @@ from .g2flow import (completeness_classify, dga_verify_torsion_free,
                      rk4_stepper_order_selftest, star_phi0)
 from .kernelmap import (LieKernel, dP, dP_properties, multimoment_value, orbit_2plectic_check, pdual)
 from .liealg import LieAlgebra
-from .parser import (expr_of, load_lie_file, parse, parse_binding, parse_form,
-                     serialize, serialize_form, instantiate)
+from .linalg import identity
+from .parser import (expr_of, parse, parse_binding, parse_form, serialize,
+                     serialize_form, instantiate)
 
 SCHEMA = "liekernel-report/1"
 
@@ -84,11 +85,36 @@ def _algebra(args) -> LieAlgebra:
     return g
 
 
+# argparse type= converters: a value they refuse is a usage error, exit 2.
+
 def _mat2_arg(text: str):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    try:
+        parts = [Fraction(p.strip()) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        parts = []
     if len(parts) != 4:
-        raise LieKernelError("--F wants four comma-separated rationals")
+        raise argparse.ArgumentTypeError(
+            f"wants four comma-separated rationals a,b,c,d, got {text!r}")
     return ((parts[0], parts[1]), (parts[2], parts[3]))
+
+
+def _weights_arg(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants comma-separated integers, got {text!r}") from None
+
+
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"wants a positive integer, got {text!r}")
+    return value
 
 
 def cmd_parse(args):
@@ -174,8 +200,7 @@ def cmd_tables(args):
 
 def cmd_extend(args):
     g = _algebra(args)
-    weights = tuple(int(w) for w in args.grading.split(","))
-    extension = graded_extension(GradedNilpotent(g, weights))
+    extension = graded_extension(GradedNilpotent(g, args.grading))
     return _emit(args, {
         "extension": serialize(expr_of(extension)),
         "is_23_trivial": is_23_trivial(extension),
@@ -217,23 +242,20 @@ def cmd_g2_verify(args):
         "torus_frame_star_phi_reconstruction": False,
     }
     metric = metric_from_phi(p0)
-    identity = [tuple(Fraction(1 if i == j else 0) for j in range(7))
-                for i in range(7)]
-    result["metric_is_identity"] = metric.exact and metric.gram == identity
+    result["metric_is_identity"] = metric.exact and metric.gram == identity(7)
     frame = g2t2_decompose(p0, s0, (1, 0, 0, 0, 0, 0, 0),
                            (0, 1, 0, 0, 0, 0, 0), metric.gram)
     result["torus_frame_phi_reconstruction"] = reconstruct_phi(frame) == p0
     result["torus_frame_star_phi_reconstruction"] = reconstruct_star_phi(frame) == s0
     if args.F is not None:
-        f_mat = _mat2_arg(args.F)
-        cert = dga_verify_torsion_free(f_mat)
+        cert = dga_verify_torsion_free(args.F)
         result["dga_d_phi_zero"] = cert.d_phi_zero
         result["dga_d_star_phi_zero"] = cert.d_star_phi_zero
     return _emit(args, result)
 
 
 def cmd_g2_flow(args):
-    f_mat = _mat2_arg(args.F)
+    f_mat = args.F
     lo, hi = max_interval(f_mat)
     t_end = args.t_end
     if t_end is None:
@@ -280,22 +302,8 @@ def cmd_g2_flow(args):
 
 
 def cmd_corpus(args):
-    if args.fixture:
-        entries = []
-        from .families import CorpusEntry
-        for item in load_lie_file(args.fixture):
-            name = item.annotations.get("name", f"line{item.line}")
-            grading = None
-            if "grading" in item.annotations:
-                grading = tuple(
-                    int(w) for w in item.annotations["grading"].split(","))
-            algebra = instantiate(item.expr, item.bindings, name=name)
-            algebra.validate()
-            entries.append(CorpusEntry(name, algebra, grading,
-                                       serialize(item.expr)))
-    else:
-        entries = load_corpus()
-    suite = corpus_mod.run_corpus_suite(entries, triples=args.triples)
+    suite = corpus_mod.run_corpus_suite(load_corpus(args.fixture or None),
+                                        triples=args.triples)
     failures = {
         name: [k for k, v in checks.items() if not v]
         for name, checks in suite["algebras"].items()
@@ -359,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="graded extension of a nilpotent algebra")
     common(p)
     p.add_argument("--grading", required=True, metavar="w1,w2,...",
+                   type=_weights_arg,
                    help="layer of each basis element")
     p.set_defaults(func=cmd_extend)
 
@@ -374,12 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g2-verify", help="pointwise G2 identity suite")
     common(p, algebra=False)
-    p.add_argument("--F", help="2x2 curvature coefficients a,b,c,d")
+    p.add_argument("--F", type=_mat2_arg,
+                   help="2x2 curvature coefficients a,b,c,d")
     p.set_defaults(func=cmd_g2_verify)
 
     p = sub.add_parser("g2-flow", help="integrate the symplectic-triple flow")
     common(p, algebra=False)
-    p.add_argument("--F", required=True, help="2x2 curvature coefficients a,b,c,d")
+    p.add_argument("--F", required=True, type=_mat2_arg,
+                   help="2x2 curvature coefficients a,b,c,d")
     p.add_argument("--t-end", type=float, default=None, dest="t_end")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--compare-closed-form", action="store_true")
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run the fixture property suite")
     common(p, algebra=False)
     p.add_argument("--fixture", help="alternative .lie fixture file")
-    p.add_argument("--triples", type=int, default=25,
+    p.add_argument("--triples", type=_positive_int_arg, default=25,
                    help="random triples per algebra for the pairing identity")
     p.set_defaults(func=cmd_corpus)
 

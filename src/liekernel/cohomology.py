@@ -18,7 +18,7 @@ from math import comb
 from .errors import SubspaceError
 from .exterior import KForm, bits_of, indices_of, multi_indices, wedge_sign
 from .liealg import LieAlgebra
-from .linalg import Subspace, nullspace, rank, solve, transpose, vec
+from .linalg import Subspace, identity, nullspace, rank, solve, transpose, vec
 
 
 def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
@@ -50,31 +50,27 @@ def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) ->
 
 
 class CEComplex:
-    """CE differential matrices of one algebra, with cached Z^k and B^k."""
+    """CE differential matrices of one algebra, with cached Z^k and B^k.
+
+    The complex keeps only n and de^k, not the algebra: the algebra caches
+    its complex (`complex_of`), and a reference back would make a cycle.
+    """
 
     def __init__(self, algebra: LieAlgebra, validate: bool = True):
         if validate:
             algebra.validate()
-        self.algebra = algebra
         self._jacobi = validate  # so d o d = 0, which d_rank relies on
-        n = algebra.n
-        self._d1 = []
-        for k in range(n):
-            coeffs = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    q = algebra.c[i][j][k]
-                    if q:
-                        coeffs[(1 << i) | (1 << j)] = -q
-            self._d1.append(KForm(n, 2, coeffs))
+        self.n = n = algebra.n
+        d1: list[dict] = [{} for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k, q in algebra.sc[i][j].items():
+                    d1[k][(1 << i) | (1 << j)] = -q
+        self._d1 = [KForm(n, 2, coeffs) for coeffs in d1]
         self._rows: dict[int, list] = {}
         self._rank: dict[int, int] = {}
         self._cocycles: dict[int, Subspace] = {}
         self._coboundaries: dict[int, Subspace] = {}
-
-    @property
-    def n(self) -> int:
-        return self.algebra.n
 
     def d(self, form: KForm) -> KForm:
         if form.n != self.n:
@@ -112,9 +108,7 @@ class CEComplex:
         if k not in self._cocycles:
             dim_k = comb(self.n, k)
             if k >= self.n:
-                rows = [tuple([Fraction(1) if i == j else Fraction(0)
-                               for j in range(dim_k)]) for i in range(dim_k)]
-                self._cocycles[k] = Subspace(dim_k, rows)
+                self._cocycles[k] = Subspace(dim_k, identity(dim_k))
             else:
                 cols = [{} for _ in range(comb(self.n, k + 1))]
                 for i, row in enumerate(self.d_rows(k)):
@@ -142,9 +136,19 @@ class CEComplex:
         return True
 
 
+def complex_of(g: LieAlgebra) -> CEComplex:
+    """The one CE complex of g, built on first use and cached on g.
+
+    Building it validates Jacobi, so an algebra that fails gets no complex.
+    """
+    if g._complex is None:
+        g._complex = CEComplex(g)
+    return g._complex
+
+
 def ce_differential(g: LieAlgebra, k: int):
     """Matrix of d: Lambda^k -> Lambda^{k+1}; sparse rows, images of lex basis."""
-    return CEComplex(g).d_rows(k)
+    return complex_of(g).d_rows(k)
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class CohomologyReport:
 
 
 def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
-    cx = complex if complex is not None else CEComplex(g)
+    cx = complex if complex is not None else complex_of(g)
     n = g.n
     z_dims, b_dims, bs = [], [], []
     for k in range(n + 1):
@@ -172,7 +176,7 @@ def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
 
 
 def is_23_trivial(g: LieAlgebra) -> bool:
-    cx = CEComplex(g)
+    cx = complex_of(g)
     b2 = comb(g.n, 2) - cx.d_rank(2) - cx.d_rank(1)
     if b2 != 0:
         return False
@@ -228,7 +232,7 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
         coeffs = {(1 << i): -ad_sub[j][i] for i in range(m) if ad_sub[j][i]}
         images.append(KForm(m, 1, coeffs))
 
-    cx = CEComplex(sub)
+    cx = complex_of(sub)
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)

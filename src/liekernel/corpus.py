@@ -4,22 +4,21 @@ Every check here is an exact statement: the complex squares to zero, the
 kernel dimension formula, the adjoint pairing identity on randomized
 rational data, unimodularity against the top Betti number, Hodge duality,
 the structural characterisation of (2,3)-triviality, and the Kunneth
-bookkeeping on direct sums.  Randomness is seeded per algebra name so the
-report is reproducible regardless of thread scheduling.
+bookkeeping on direct sums.  Randomness is seeded per algebra name, so
+the report depends only on the entries and the triple count.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .cohomology import CEComplex, betti, invariant_cohomology_dims, is_23_trivial
+from .cohomology import betti, invariant_cohomology_dims, is_23_trivial
 from .exterior import KForm, KVector, multi_indices, pairing, vector_of, wedge
 from .families import CorpusEntry, load_corpus, trivial23_consequences
 from .kernelmap import LieKernel, ad_multivector, dP
 from .liealg import LieAlgebra
+from .linalg import identity
 
 
 def _random_form(rng, n: int, k: int) -> KForm:
@@ -79,11 +78,7 @@ def characterisation_equivalence_holds(g: LieAlgebra) -> bool:
         return lhs is True  # one-dimensional algebra; invariants vacuous
     if not g.subalgebra(derived).is_nilpotent():
         return lhs is False
-    a = next(
-        tuple(Fraction(1 if j == i else 0) for j in range(g.n))
-        for i in range(g.n)
-        if not derived.contains(
-            tuple(Fraction(1 if j == i else 0) for j in range(g.n))))
+    a = next(u for u in identity(g.n) if not derived.contains(u))
     dims = invariant_cohomology_dims(g, derived, a)
     rhs = all(d == 0 for d in dims[1:4])
     return lhs is rhs
@@ -95,7 +90,7 @@ def check_algebra(entry: CorpusEntry, triples: int) -> dict:
     kernel = LieKernel(g)
     report = betti(g)
     checks = {
-        "d_squared_zero": CEComplex(g).verify_d_squared(),
+        "d_squared_zero": kernel.complex.verify_d_squared(),
         "kernel_dim_formula":
             kernel.dim == report.betti[1] + g.n * (g.n - 3) // 2,
         "adjoint_identity": adjoint_identity_holds(g, kernel, rng, triples),
@@ -135,32 +130,13 @@ def kunneth_pair_check(a: LieAlgebra, b: LieAlgebra) -> bool:
     return ok2 and ok3
 
 
-def max_workers_from_env() -> int:
-    value = os.environ.get("LIEKERNEL_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def run_corpus_suite(entries: list[CorpusEntry] | None = None,
-                     triples: int = 100,
-                     max_workers: int | None = None) -> dict:
+                     triples: int = 100) -> dict:
     """Run every property over the corpus; deterministic report."""
     if entries is None:
         entries = load_corpus()
-    if max_workers is None:
-        max_workers = max_workers_from_env()
-    results: dict[str, dict] = {}
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {e.name: pool.submit(check_algebra, e, triples)
-                       for e in entries}
-            for name in sorted(futures):
-                results[name] = futures[name].result()
-    else:
-        for e in sorted(entries, key=lambda e: e.name):
-            results[e.name] = check_algebra(e, triples)
+    results = {e.name: check_algebra(e, triples)
+               for e in sorted(entries, key=lambda e: e.name)}
 
     pairs = {}
     small = [e for e in entries if e.algebra.n <= 3]

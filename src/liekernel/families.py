@@ -17,7 +17,8 @@ import numpy as np
 from .cohomology import betti, is_23_trivial
 from .errors import AdmissibilityError, LieKernelError
 from .liealg import LieAlgebra
-from .parser import expr_of, parse_algebra, serialize
+from .parser import (expr_of, instantiate, load_lie_file, parse_algebra,
+                     parse_lie_text, serialize)
 
 
 def _fmt(q: Fraction) -> str:
@@ -446,22 +447,16 @@ def corpus_text() -> str:
     return resources.files("liekernel").joinpath("data/corpus.lie").read_text()
 
 
-def load_corpus() -> list[CorpusEntry]:
-    """Parse the shipped corpus.lie into named, validated algebras."""
-    import io
-    from .parser import parse_lie_line
-
+def load_corpus(path=None) -> list[CorpusEntry]:
+    """Parse a .lie fixture file, by default the shipped corpus.lie, into
+    named, validated algebras."""
+    items = parse_lie_text(corpus_text()) if path is None else load_lie_file(path)
     entries = []
-    for lineno, raw in enumerate(io.StringIO(corpus_text()), 1):
-        parsed = parse_lie_line(raw, lineno)
-        if parsed is None:
-            continue
-        name = parsed.annotations.get("name", f"line{lineno}")
+    for parsed in items:
+        name = parsed.annotations.get("name", f"line{parsed.line}")
         grading = None
         if "grading" in parsed.annotations:
             grading = tuple(int(w) for w in parsed.annotations["grading"].split(","))
-        from .parser import instantiate
-
         algebra = instantiate(parsed.expr, parsed.bindings, name=name)
         algebra.validate()
         entries.append(CorpusEntry(name, algebra, grading, serialize(parsed.expr)))

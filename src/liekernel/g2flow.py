@@ -194,8 +194,7 @@ def metric_from_phi(phi: KForm) -> MetricResult:
     """
     if phi.n != 7 or phi.k != 3:
         raise DimensionMismatch("expected a three-form on R^7")
-    units = [vector_of(7, [1 if j == i else 0 for j in range(7)]) for i in range(7)]
-    contractions = [interior(u, phi) for u in units]
+    contractions = [interior(vector_of(7, u), phi) for u in linalg.identity(7)]
     top = (1, 2, 3, 4, 5, 6, 7)
     b = [[wedge_all(contractions[i], contractions[j], phi)[top]
           for j in range(7)] for i in range(7)]
@@ -467,7 +466,7 @@ def max_interval(f_mat) -> tuple[float, float]:
     r1, r2 = min(r1, r2), max(r1, r2)
     lo = r2 if r2 < 0 else (r1 if r1 < 0 else -np.inf)
     hi = r1 if r1 > 0 else (r2 if r2 > 0 else np.inf)
-    return (lo if lo != -np.inf else -np.inf, hi if hi != np.inf else np.inf)
+    return (lo, hi)
 
 
 def flow_closed_form(f_mat, t) -> FlowState:

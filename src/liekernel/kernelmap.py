@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cohomology import CEComplex, extend_as_derivation
+from .cohomology import complex_of, extend_as_derivation
 from .errors import DimensionMismatch, MomentMapError
 from .exterior import (KForm, KVector, bits_of, interior, multi_indices,
                        pairing, vector_of)
 from .liealg import LieAlgebra
-from .linalg import Subspace, nullspace, rank, solve, transpose, vec
+from .linalg import Subspace, identity, nullspace, rank, solve, transpose
 
 
 class LieKernel:
@@ -33,7 +33,7 @@ class LieKernel:
         columns = [algebra.bracket_basis(i, j) for (i, j) in self.pair_order]
         self.space = Subspace(len(self.pair_order), nullspace(
             transpose(columns) if columns else [], len(self.pair_order)))
-        self.complex = CEComplex(algebra)
+        self.complex = complex_of(algebra)
         self.exact_two_forms = self.complex.coboundaries(2)
 
     @property
@@ -93,15 +93,13 @@ def dP(g: LieAlgebra, beta) -> KForm:
     form = beta.rep if isinstance(beta, PDualElement) else beta
     if form.n != g.n or form.k != 2:
         raise DimensionMismatch("dP needs a two-form")
-    return CEComplex(g).d(form)
+    return complex_of(g).d(form)
 
 
 def ad_multivector(g: LieAlgebra, z, p: KVector) -> KVector:
     """ad_z extended to multivectors as a derivation."""
-    z = vec(z)
-    images = [vector_of(g.n, g.bracket(z, u))
-              for u in ([Fraction(1 if i == j else 0) for j in range(g.n)]
-                        for i in range(g.n))]
+    images = [KVector(g.n, 1, {1 << k: q for k, q in col.items()})
+              for col in g.ad_columns(z)]
     return extend_as_derivation(images, p, 1)
 
 
@@ -169,7 +167,7 @@ def stabilizer(g: LieAlgebra, beta, kernel: LieKernel | None = None) -> Subspace
     for p in p_basis:
         rows.append(tuple(
             pairing(form, ad_multivector(g, unit, p))
-            for unit in _basis_vectors(g.n)))
+            for unit in identity(g.n)))
     return Subspace(g.n, nullspace(rows, g.n))
 
 
@@ -179,7 +177,7 @@ def kernel_of_psi(g: LieAlgebra, psi: KForm) -> Subspace:
         raise DimensionMismatch("psi lives on a different algebra")
     order = list(multi_indices(g.n, psi.k - 1))
     columns = [interior(vector_of(g.n, u), psi).vector(order)
-               for u in _basis_vectors(g.n)]
+               for u in identity(g.n)]
     return Subspace(g.n, nullspace(transpose(columns), g.n))
 
 
@@ -199,6 +197,3 @@ def orbit_2plectic_check(g: LieAlgebra, beta,
     ker = kernel_of_psi(g, dP(g, beta))
     return OrbitCheck(stab == ker, g.n - stab.dim, stab.dim, ker.dim)
 
-
-def _basis_vectors(n: int):
-    return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]

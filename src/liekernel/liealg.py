@@ -1,8 +1,10 @@
 """Lie algebra structure: bracket, series, derivations, direct sums.
 
-Structure constants are stored dense, c[i][j][k] = coefficient of e_k in
-[e_i, e_j], all Fractions.  Dimensions never exceed 16 here so n^3 exact
-rationals cost nothing.
+Structure constants are kept twice: dense as the public c[i][j][k] =
+coefficient of e_k in [e_i, e_j], all Fractions, for callers that index
+them, and as their nonzeros, sc[i][j] = {k: c^k_ij}, which bracket, ad,
+Jacobi validation and the CE complex iterate over.  Most constants of a
+real algebra are zero.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
-from .linalg import Subspace, vec
+from .linalg import Subspace, identity, nullspace, vec
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 class LieAlgebra:
@@ -28,8 +31,11 @@ class LieAlgebra:
         )
         if any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
             raise DimensionMismatch("structure constants are not n x n x n")
+        self.sc = tuple(tuple({k: q for k, q in enumerate(row) if q}
+                              for row in plane) for plane in self.c)
         self.name = name
         self._validated = False
+        self._complex = None  # filled by cohomology.complex_of
         self._check_antisymmetry()
         if _validate:
             self.validate()
@@ -72,10 +78,10 @@ class LieAlgebra:
         # [e_a, e_b] as {m: D c^m_ab}, D a common denominator: the identity is
         # quadratic in c, so it holds for D c exactly when it holds for c, and
         # the cyclic sums run in integers over nonzeros only
-        d = lcm(*(q.denominator for plane in self.c for row in plane for q in row))
-        br = [[{m: q.numerator * (d // q.denominator)
-                for m, q in enumerate(row) if q} for row in plane]
-              for plane in self.c]
+        d = lcm(*(q.denominator for plane in self.sc for row in plane
+                  for q in row.values()))
+        br = [[{m: q.numerator * (d // q.denominator) for m, q in row.items()}
+               for row in plane] for plane in self.sc]
         for i, j, k in combinations(range(self.n), 3):
             total: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -104,25 +110,41 @@ class LieAlgebra:
         x, y = vec(x), vec(y)
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch("vectors outside the algebra")
-        out = [Fraction(0)] * self.n
+        out = [_ZERO] * self.n
         for i, xi in enumerate(x):
             if not xi:
                 continue
+            plane = self.sc[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                row = self.c[i][j]
                 f = xi * yj
-                for k in range(self.n):
-                    if row[k]:
-                        out[k] += f * row[k]
+                for k, q in plane[j].items():
+                    out[k] += f * q
         return tuple(out)
+
+    def ad_columns(self, x) -> list[dict[int, Fraction]]:
+        """[x, e_j] for each j, as {k: nonzero coefficient of e_k}."""
+        x = vec(x)
+        if len(x) != self.n:
+            raise DimensionMismatch("vector outside the algebra")
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for col, comps in zip(cols, self.sc[i]):
+                for k, q in comps.items():
+                    w = col.get(k, _ZERO) + xi * q
+                    if w:
+                        col[k] = w
+                    else:
+                        del col[k]
+        return cols
 
     def ad(self, x) -> list[Vector]:
         """Matrix of ad_x, rows indexed by output component."""
-        x = vec(x)
-        cols = [self.bracket(x, unit) for unit in _basis(self.n)]
-        return [tuple(col[k] for col in cols) for k in range(self.n)]
+        cols = self.ad_columns(x)
+        return [tuple(col.get(k, _ZERO) for col in cols) for k in range(self.n)]
 
     # -- ideals and series ---------------------------------------------------
 
@@ -131,7 +153,7 @@ class LieAlgebra:
         return Subspace(self.n, rows)
 
     def full_space(self) -> Subspace:
-        return Subspace(self.n, _basis(self.n))
+        return Subspace(self.n, identity(self.n))
 
     def derived_series(self) -> list[Subspace]:
         self.validate()
@@ -211,7 +233,7 @@ class LieAlgebra:
         self.validate()
         return all(
             space.contains(self.bracket(u, v))
-            for u in _basis(self.n)
+            for u in identity(self.n)
             for v in space.basis
         )
 
@@ -238,8 +260,7 @@ class LieAlgebra:
                     for b in range(n):
                         coeff[k * n + b] -= self.c[i][j][b]
                     rows.append(tuple(coeff))
-        sols = Subspace(n * n, _nullspace_rows(rows, n * n))
-        return sols
+        return Subspace(n * n, nullspace(rows, n * n))
 
     def derivation_matrices(self) -> list[list[Vector]]:
         n = self.n
@@ -260,16 +281,6 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or f"dim {self.n}"
         return f"LieAlgebra({label})"
-
-
-def _basis(n: int):
-    return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-
-
-def _nullspace_rows(rows, ncols):
-    from .linalg import nullspace
-
-    return nullspace(rows, ncols)
 
 
 def matrix_commutator(a, b):

@@ -20,7 +20,7 @@ Matrix = list[Vector]
 
 
 def vec(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def unit(n: int, i: int) -> Vector:

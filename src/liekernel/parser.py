@@ -444,11 +444,12 @@ def parse_lie_line(line: str, lineno: int = 0) -> LieFileEntry | None:
     return LieFileEntry(expr, bindings, annotations, lineno)
 
 
+def parse_lie_text(text: str) -> list[LieFileEntry]:
+    """Entries of a .lie text, skipping blank and comment-only lines."""
+    return [entry for lineno, raw in enumerate(text.split("\n"), 1)
+            if (entry := parse_lie_line(raw, lineno)) is not None]
+
+
 def load_lie_file(path) -> list[LieFileEntry]:
-    entries = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            entry = parse_lie_line(raw, lineno)
-            if entry is not None:
-                entries.append(entry)
-    return entries
+        return parse_lie_text(fh.read())

@@ -1,11 +1,53 @@
-"""Dense exact elimination kept as a differential oracle for `linalg`.
+"""Dense exact code kept as a differential oracle for the sparse paths.
 
 These are the Gauss-Jordan `rref` and the Bareiss `rank` that `linalg` used
-before its sparse integer kernel, unchanged; the tests compare the two.
+before its sparse integer kernel, unchanged, and the bracket, ad and ad on
+multivectors computed from the dense structure constants c[i][j][k], as
+`LieAlgebra` did before it kept their nonzeros; the tests compare the two.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from liekernel.exterior import KVector, vector_of, wedge
+
+
+def _units(n):
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+def bracket(c, x, y):
+    """[x, y] = sum x_i y_j c[i][j][k] e_k over every (i, j, k)."""
+    n = len(c)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if x[i] and y[j]:
+                for k in range(n):
+                    out[k] += x[i] * y[j] * c[i][j][k]
+    return tuple(out)
+
+
+def ad(c, x):
+    """Matrix of ad_x, rows indexed by output component."""
+    cols = [bracket(c, x, u) for u in _units(len(c))]
+    return [tuple(col[k] for col in cols) for k in range(len(c))]
+
+
+def ad_multivector(c, z, p):
+    """ad_z(v_1 ^ .. ^ v_k) = sum over positions of v_1 ^ .. [z, v_i] .. ^ v_k."""
+    n = len(c)
+    units = _units(n)
+    out = KVector.zero(n, p.k)
+    for ixs, q in p.terms():
+        for pos in range(len(ixs)):
+            factors = [vector_of(n, units[i - 1]) for i in ixs]
+            factors[pos] = vector_of(n, bracket(c, z, units[ixs[pos] - 1]))
+            term = factors[0]
+            for f in factors[1:]:
+                term = wedge(term, f)
+            out = out + term * q
+    return out
 
 
 def rref(rows):

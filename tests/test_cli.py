@@ -154,6 +154,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "(0,0,12)", "--grading", "a,b,c"],
+    ["g2-flow", "--F", "a,b,c,d"],
+    ["g2-verify", "--F", "1/0,0,0,0"],
+    ["g2-verify", "--F", "1,2,3"],
+    ["corpus", "--triples", "-5"],
+], ids=["grading-not-integers", "flow-F-not-rationals", "verify-F-zero-denominator",
+        "verify-F-three-entries", "negative-triples"])
+def test_bad_option_value_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
+
+
 def test_human_readable_default(capsys):
     code, out = run(capsys, "betti", "(0,0,12)")
     assert code == 0

@@ -1,6 +1,5 @@
 
-from liekernel.corpus import (kunneth_pair_check, max_workers_from_env,
-                              run_corpus_suite)
+from liekernel.corpus import kunneth_pair_check, run_corpus_suite
 from liekernel.families import load_corpus
 
 
@@ -13,22 +12,6 @@ def test_corpus_suite_all_green():
     assert suite["ok"]
     assert all(suite["kunneth_pairs"].values())
     assert len(suite["algebras"]) >= 20
-
-
-def test_corpus_suite_threaded_matches_serial():
-    entries = [e for e in load_corpus() if e.algebra.n <= 4]
-    serial = run_corpus_suite(entries, triples=5, max_workers=1)
-    threaded = run_corpus_suite(entries, triples=5, max_workers=4)
-    assert serial == threaded
-
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("LIEKERNEL_THREADS", raising=False)
-    assert max_workers_from_env() == 1
-    monkeypatch.setenv("LIEKERNEL_THREADS", "3")
-    assert max_workers_from_env() == 3
-    monkeypatch.setenv("LIEKERNEL_THREADS", "junk")
-    assert max_workers_from_env() == 1
 
 
 def test_kunneth_pair_check_direct():
