@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .cohomology import betti, is_23_trivial
-from .errors import LieKernelError
+from .errors import LieKernelError, ParseError
 from .exterior import KForm, hodge_star
 from .families import (GradedNilpotent, graded_extension,
                        load_corpus, trivial23_consequences,
@@ -32,8 +32,8 @@ from .g2flow import (completeness_classify, dga_verify_torsion_free,
 from .kernelmap import (LieKernel, dP, dP_properties, multimoment_value, orbit_2plectic_check, pdual)
 from .liealg import LieAlgebra
 from .linalg import identity
-from .parser import (expr_of, parse, parse_binding, parse_form, serialize,
-                     serialize_form, instantiate)
+from .parser import (expr_of, parse, parse_binding, parse_form, parse_rational,
+                     serialize, serialize_form, instantiate)
 
 SCHEMA = "liekernel-report/1"
 
@@ -89,8 +89,8 @@ def _algebra(args) -> LieAlgebra:
 
 def _mat2_arg(text: str):
     try:
-        parts = [Fraction(p.strip()) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError):
+        parts = [parse_rational(p) for p in text.split(",")]
+    except ParseError:
         parts = []
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(

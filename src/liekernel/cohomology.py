@@ -18,7 +18,7 @@ from math import comb
 from .errors import SubspaceError
 from .exterior import KForm, bits_of, indices_of, multi_indices, wedge_sign
 from .liealg import LieAlgebra
-from .linalg import Subspace, identity, nullspace, rank, solve, transpose, vec
+from .linalg import Subspace, identity, nullspace, rank, transpose, vec
 
 
 def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
@@ -236,28 +236,15 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)
-        bc = cx.coboundaries(i)
-        # complement of B^i in Z^i, grown from the echelon basis of Z^i
-        space = bc
-        comp = []
-        for z in zc.basis:
-            if not space.contains(z):
-                comp.append(z)
-                space = Subspace(space.ambient, list(space.basis) + [z])
-        if not comp:
-            dims.append(0)
-            continue
         order = list(multi_indices(m, i))
-        columns = list(bc.basis) + comp
-        mat = transpose(columns)
-        act = []
-        for z in comp:
+        moved = []
+        for z in zc.basis:
             f = KForm.from_vector(m, i, z)
-            lf = extend_as_derivation(images, f, 1)
-            coords = solve(mat, lf.vector(order))
-            if coords is None:
+            lz = extend_as_derivation(images, f, 1).vector(order)
+            if not zc.contains(lz):
                 raise SubspaceError("induced action left Z^i; ideal data corrupt")
-            act.append(coords[len(bc.basis):])
-        action_matrix = transpose(act)  # columns = inputs
-        dims.append(len(comp) - rank(action_matrix))
+            moved.append(lz)
+        # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i)
+        boundaries = list(cx.coboundaries(i).basis)
+        dims.append(zc.dim - rank(boundaries + moved, len(order)))
     return dims

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import isqrt
 
 from .errors import DimensionMismatch, HodgeError, LieKernelError
 from . import linalg
@@ -379,13 +379,3 @@ def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
         coeff = val * vol_scale * s * orientation
         acc[comp] = acc.get(comp, Fraction(0)) + coeff
     return KForm(n, n - k, {b: c for b, c in acc.items() if c})
-
-
-def form_to_matrix_rows(forms, n: int, k: int) -> list[tuple]:
-    """Coefficient rows of a family of k-forms in the lex basis."""
-    order = list(multi_indices(n, k))
-    return [f.vector(order) for f in forms]
-
-
-def dim_forms(n: int, k: int) -> int:
-    return comb(n, k)

@@ -17,8 +17,8 @@ import numpy as np
 from .cohomology import betti, is_23_trivial
 from .errors import AdmissibilityError, LieKernelError
 from .liealg import LieAlgebra
-from .parser import (expr_of, instantiate, load_lie_file, parse_algebra,
-                     parse_lie_text, serialize)
+from .parser import (instantiate, load_lie_file, parse_algebra, parse_lie_text,
+                     serialize)
 
 
 def _fmt(q: Fraction) -> str:
@@ -456,7 +456,12 @@ def load_corpus(path=None) -> list[CorpusEntry]:
         name = parsed.annotations.get("name", f"line{parsed.line}")
         grading = None
         if "grading" in parsed.annotations:
-            grading = tuple(int(w) for w in parsed.annotations["grading"].split(","))
+            text = parsed.annotations["grading"]
+            try:
+                grading = tuple(int(w) for w in text.split(","))
+            except ValueError:
+                raise LieKernelError(f"line {parsed.line}: grading wants "
+                                     f"comma-separated integers, got {text!r}") from None
         algebra = instantiate(parsed.expr, parsed.bindings, name=name)
         algebra.validate()
         entries.append(CorpusEntry(name, algebra, grading, serialize(parsed.expr)))
@@ -468,7 +473,3 @@ def corpus_algebra(name: str) -> LieAlgebra:
         if entry.name == name:
             return entry.algebra
     raise LieKernelError(f"no corpus algebra named {name!r}")
-
-
-def su3_tuple_text() -> str:
-    return serialize(expr_of(su3()))

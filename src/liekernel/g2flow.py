@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
+from .cohomology import extend_as_derivation
 from .errors import DimensionMismatch, FlowError, G2Error
 from .exterior import (KForm, basis_form, covector_of, interior,
                        vector_of, wedge, wedge_all)
@@ -681,8 +682,6 @@ class FlowDGA:
                 raise G2Error(f"d^2 e_{i+1} != 0: DGA configuration bug")
 
     def spatial_d(self, form: KForm) -> KForm:
-        from .cohomology import extend_as_derivation
-
         return extend_as_derivation(self._images, form, 2)
 
     def t_derivative(self, form: KForm) -> KForm:

@@ -252,8 +252,5 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, tuple(self.basis)))
 
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of R^{self.ambient})"

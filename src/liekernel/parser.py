@@ -2,9 +2,18 @@
 
 A tuple like ``(0,21,l.31)`` lists the differentials of the dual basis:
 slot k holds de_k as a signed sum of basis two-forms, ``c.ij`` standing for
-c e_i ^ e_j.  Index pairs are two digits for ambient dimension at most 9
-and bracketed ``[i,j]`` beyond that.  Coefficients are exact rationals or
-single parameter names; decimals are rejected.
+c e_i ^ e_j.  Form literals such as ``3.123-145+1/2.267`` use the same
+terms with k indices.  One term grammar reads both: ``[sign] [coef "."]
+indices``, where indices are a run of single digits or a bracketed list
+``[i,j,...]`` and whitespace may separate tokens; in tuples, and only there,
+coef may also be a parameter name.  Indices are printed as digits for
+ambient dimension at most 9 and bracketed beyond that.
+
+One rational rule covers tuple and form coefficients, binding values
+(``--bind name=p/q`` and the ``| name=p/q`` suffix of ``.lie`` lines) and
+the entries of ``--F``: ``[sign] p`` or ``[sign] p/q`` with decimal
+integers p and q, q nonzero.  Decimals (``0.5``), exponents (``1e3``) and
+digit separators (``1_000``) are rejected.
 
 Sign convention: a term ``c.ij`` in slot k means de_k(e_i, e_j) = c, i.e.
 e_k([e_i, e_j]) = -c, so [e_i, e_j] picks up -c e_k.  Under this rule
@@ -19,12 +28,18 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BindingError, ParseError
+from .errors import BindingError, LieKernelError, ParseError
 from .exterior import KForm, bits_of
 from .liealg import LieAlgebra
 
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-_INT_RE = re.compile(r"\d+")
+_NAME = r"[a-zA-Z][a-zA-Z0-9_]*"
+_SIGN = r"\s*(?P<sign>[+-]?)\s*"
+_RATIONAL = r"(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
+# one term: [sign] [coef "."] indices; the match ends at the next token
+_TERM_RE = re.compile(
+    rf"{_SIGN}(?:(?:(?P<name>{_NAME})|{_RATIONAL})\s*\.\s*)?"
+    r"(?:(?P<digits>\d+)|\[(?P<list>[^\]]*)\])\s*")
+_RATIONAL_RE = re.compile(rf"{_SIGN}{_RATIONAL}\s*")
 
 
 @dataclass(frozen=True)
@@ -54,99 +69,43 @@ class AlgebraExpr:
         return {t.param for slot in self.slots for t in slot if t.param}
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def match(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def take(self, regex) -> str | None:
-        self.skip_ws()
-        m = regex.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
+def _rational(m: re.Match) -> Fraction:
+    """The rational rule on a match's sign, num and den groups (1 if absent)."""
+    if m["den"] is not None and int(m["den"]) == 0:
+        raise ParseError("zero denominator", m.start("den"))
+    q = Fraction(int(m["num"] or 1), int(m["den"] or 1))
+    return -q if m["sign"] == "-" else q
 
 
-def _parse_index_pair(cur: _Cursor) -> tuple[int, int]:
-    if cur.match("["):
-        i = cur.take(_INT_RE)
-        if i is None:
-            raise ParseError("expected index", cur.pos)
-        cur.expect(",")
-        j = cur.take(_INT_RE)
-        if j is None:
-            raise ParseError("expected index", cur.pos)
-        cur.expect("]")
-        return int(i), int(j)
-    digits = cur.take(_INT_RE)
-    if digits is None or len(digits) != 2:
-        raise ParseError("expected a two-digit index pair", cur.pos)
-    return int(digits[0]), int(digits[1])
+def parse_rational(text: str) -> Fraction:
+    """``[sign] p`` or ``[sign] p/q`` as a Fraction; ParseError otherwise."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"expected a rational p or p/q, got {text!r}", 0)
+    return _rational(m)
 
 
-def _parse_term(cur: _Cursor, sign: int) -> Term:
-    start = cur.pos
-    coef = Fraction(sign)
-    param = None
-    name = cur.take(_NAME_RE)
-    if name is not None:
-        param = name
-        cur.expect(".")
-    else:
-        # disambiguate "2.41" (coefficient 2) from "21" (bare index pair)
-        save = cur.pos
-        num = cur.take(_INT_RE)
-        if num is not None and cur.peek() == "/":
-            cur.pos += 1
-            den = cur.take(_INT_RE)
-            if den is None:
-                raise ParseError("expected denominator", cur.pos)
-            coef *= Fraction(int(num), int(den))
-            cur.expect(".")
-        elif num is not None and cur.peek() == ".":
-            cur.pos += 1
-            if cur.peek().isdigit() and not _looks_like_pair_then_end(cur):
-                raise ParseError("decimal coefficients are not allowed", save)
-            coef *= int(num)
-        else:
-            cur.pos = save
-    i, j = _parse_index_pair(cur)
-    if i == j:
-        raise ParseError("repeated index in pair", start)
-    return Term(coef, param, (i, j))
+def _indices(m: re.Match) -> tuple[int, ...]:
+    """A term's indices: one per digit of the run, or the bracketed list."""
+    if m["digits"] is not None:
+        return tuple(map(int, m["digits"]))
+    parts = [p.strip() for p in m["list"].split(",")]
+    if not all(p.isdecimal() for p in parts):
+        raise ParseError("expected index", m.start("list"))
+    return tuple(map(int, parts))
 
 
-def _looks_like_pair_then_end(cur: _Cursor) -> bool:
-    """After 'num.', the rest of the term must be a full index pair."""
-    save = cur.pos
-    try:
-        _parse_index_pair(cur)
-    except ParseError:
-        cur.pos = save
-        return False
-    ok = cur.peek() in "+-,)"
-    cur.pos = save
-    return ok
+def _tuple_term(m: re.Match) -> Term:
+    ixs = _indices(m)
+    if len(ixs) != 2:
+        if m["list"] is not None:
+            raise ParseError("expected an index pair [i,j]", m.start())
+        if m["num"] is not None:  # "0.5.31" reads as coefficient 0, indices 5
+            raise ParseError("decimal coefficients are not allowed", m.start())
+        raise ParseError("expected a two-digit index pair", m.start())
+    if ixs[0] == ixs[1]:
+        raise ParseError("repeated index in pair", m.start())
+    return Term(_rational(m), m["name"], ixs)
 
 
 def _canonical_slot(terms: list[Term]) -> tuple[Term, ...]:
@@ -180,39 +139,30 @@ def _canonical_slot(terms: list[Term]) -> tuple[Term, ...]:
 
 def parse(text: str) -> AlgebraExpr:
     """Parse a structure tuple; the dimension is the number of slots."""
-    cur = _Cursor(text)
-    cur.expect("(")
-    raw_slots: list[list[Term]] = []
+    pos = len(text) - len(text.lstrip())
+    if text[pos:pos + 1] != "(":
+        raise ParseError("expected '('", pos)
+    pos += 1
+    raw_slots: list[list[Term]] = [[]]
     while True:
-        terms: list[Term] = []
-        zero_slot = False
-        if cur.peek() == "0":
-            save = cur.pos
-            cur.pos += 1
-            if cur.peek() in ",)":
-                zero_slot = True
-            else:
-                cur.pos = save  # a slot like 0.12 is not the zero slot
-        if not zero_slot:
-            if cur.peek() in ",)":
-                raise ParseError("empty slot", cur.pos)
-            sign = 1
-            if cur.match("-"):
-                sign = -1
-            elif cur.match("+"):
-                pass
-            terms.append(_parse_term(cur, sign))
-            while cur.peek() in "+-":
-                sign = -1 if cur.peek() == "-" else 1
-                cur.pos += 1
-                terms.append(_parse_term(cur, sign))
-        raw_slots.append(terms)
-        if cur.match(")"):
+        terms = raw_slots[-1]
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            empty = not terms and text[pos:].lstrip()[:1] in ("", ",", ")")
+            raise ParseError("empty slot" if empty else "expected a term", pos)
+        pos = m.end()
+        end = text[pos:pos + 1]
+        if terms or m.group().strip() != "0" or end not in (",", ")"):
+            terms.append(_tuple_term(m))  # else it is the zero slot "0"
+        if end == ")":
             break
-        cur.expect(",")
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise ParseError("trailing input after tuple", cur.pos)
+        if end == ",":
+            raw_slots.append([])
+            pos += 1
+        elif end not in ("+", "-"):
+            raise ParseError("expected ',' or ')'", pos)
+    if text[pos + 1:].strip():
+        raise ParseError("trailing input after tuple", pos + 1)
     n = len(raw_slots)
     if n > 16:
         raise ParseError("dimension above 16 is unsupported", 0)
@@ -224,39 +174,26 @@ def parse(text: str) -> AlgebraExpr:
     return AlgebraExpr(n, tuple(_canonical_slot(ts) for ts in raw_slots))
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def _format_pair(pair: tuple[int, int], n: int) -> str:
-    i, j = pair
-    if n <= 9:
-        return f"{i}{j}"
-    return f"[{i},{j}]"
+def _format_terms(terms, n: int) -> str:
+    """Signed ``[coef.]indices`` terms from (coef, param, indices) triples;
+    indices are digits for n <= 9 and bracketed above."""
+    out = []
+    for coef, param, ixs in terms:
+        body = ("".join(map(str, ixs)) if n <= 9
+                else "[" + ",".join(map(str, ixs)) + "]")
+        if param is not None:
+            body = f"{param}.{body}"
+        elif abs(coef) != 1:
+            body = f"{abs(coef)}.{body}"
+        out.append(("-" if coef < 0 else "+" if out else "") + body)
+    return "".join(out)
 
 
 def serialize(expr: AlgebraExpr) -> str:
     """Canonical text form; parse(serialize(e)) == e."""
-    slots_out = []
-    for terms in expr.slots:
-        if not terms:
-            slots_out.append("0")
-            continue
-        pieces = []
-        for idx, t in enumerate(terms):
-            mag = abs(t.coef)
-            body = _format_pair(t.pair, expr.n)
-            if t.param is not None:
-                body = f"{t.param}.{body}"
-            elif mag != 1:
-                body = f"{_format_rational(mag)}.{body}"
-            sign = "-" if t.coef < 0 else "+"
-            if idx == 0:
-                pieces.append(body if t.coef > 0 else "-" + body)
-            else:
-                pieces.append(sign + body)
-        slots_out.append("".join(pieces))
-    return "(" + ",".join(slots_out) + ")"
+    return "(" + ",".join(
+        _format_terms(((t.coef, t.param, t.pair) for t in terms), expr.n) or "0"
+        for terms in expr.slots) + ")"
 
 
 def instantiate(expr: AlgebraExpr, bindings: dict | None = None,
@@ -305,97 +242,39 @@ def expr_of(g: LieAlgebra) -> AlgebraExpr:
 
 # -- k-form literals (same term syntax with k indices) ----------------------
 
-def _parse_index_tuple(cur: _Cursor, degree: int | None) -> tuple[int, ...]:
-    if cur.match("["):
-        out = []
-        while True:
-            i = cur.take(_INT_RE)
-            if i is None:
-                raise ParseError("expected index", cur.pos)
-            out.append(int(i))
-            if cur.match("]"):
-                return tuple(out)
-            cur.expect(",")
-    digits = cur.take(_INT_RE)
-    if digits is None:
-        raise ParseError("expected indices", cur.pos)
-    if degree is not None and len(digits) != degree:
-        raise ParseError(f"expected {degree} indices", cur.pos)
-    return tuple(int(d) for d in digits)
-
-
 def parse_form(text: str, n: int, degree: int | None = None) -> KForm:
     """Parse a k-form literal such as ``3.123-145+1/2.267`` ('0' is zero)."""
-    cur = _Cursor(text)
-    if cur.peek() == "0":
-        cur.pos += 1
-        cur.skip_ws()
-        if cur.pos == len(cur.text):
-            if degree is None:
-                raise ParseError("cannot infer the degree of 0", 0)
-            return KForm.zero(n, degree)
-        raise ParseError("trailing input after 0", cur.pos)
+    if text.strip() == "0":
+        if degree is None:
+            raise ParseError("cannot infer the degree of 0", 0)
+        return KForm.zero(n, degree)
     terms: dict[int, Fraction] = {}
-    first = True
-    deg = degree
+    pos = 0
     while True:
-        if first:
-            sign = -1 if cur.match("-") else 1
-            first = False
-        else:
-            ch = cur.peek()
-            if ch == "":
-                break
-            if ch not in "+-":
-                raise ParseError("expected + or -", cur.pos)
-            sign = -1 if ch == "-" else 1
-            cur.pos += 1
-        coef = Fraction(sign)
-        save = cur.pos
-        num = cur.take(_INT_RE)
-        if num is not None and cur.peek() == "/":
-            cur.pos += 1
-            den = cur.take(_INT_RE)
-            if den is None:
-                raise ParseError("expected denominator", cur.pos)
-            coef *= Fraction(int(num), int(den))
-            cur.expect(".")
-        elif num is not None and cur.peek() == ".":
-            cur.pos += 1
-            coef *= int(num)
-        else:
-            cur.pos = save
-        ixs = _parse_index_tuple(cur, deg)
-        if deg is None:
-            deg = len(ixs)
-        elif len(ixs) != deg:
-            raise ParseError("mixed degrees in one form", cur.pos)
+        m = _TERM_RE.match(text, pos)
+        if m is None or m["name"] is not None:
+            raise ParseError("expected a term", pos)
+        ixs = _indices(m)
+        if degree is None:
+            degree = len(ixs)
+        elif len(ixs) != degree:
+            raise ParseError(f"expected {degree} indices", pos)
         if any(not 1 <= i <= n for i in ixs):
-            raise ParseError(f"index out of range 1..{n}", cur.pos)
+            raise ParseError(f"index out of range 1..{n}", pos)
         bits, s = bits_of(ixs)
         if s == 0:
-            raise ParseError("repeated index", cur.pos)
-        terms[bits] = terms.get(bits, Fraction(0)) + coef * s
-        cur.skip_ws()
-        if cur.pos == len(cur.text):
-            break
-    return KForm(n, deg, {b: c for b, c in terms.items() if c})
+            raise ParseError("repeated index", pos)
+        terms[bits] = terms.get(bits, 0) + _rational(m) * s
+        pos = m.end()
+        if pos == len(text):
+            return KForm(n, degree, terms)
+        if text[pos] not in "+-":
+            raise ParseError("expected + or -", pos)
 
 
 def serialize_form(form: KForm) -> str:
-    if form.is_zero():
-        return "0"
-    pieces = []
-    for ixs, c in form.terms():
-        if form.n <= 9:
-            body = "".join(map(str, ixs))
-        else:
-            body = "[" + ",".join(map(str, ixs)) + "]"
-        mag = abs(c)
-        if mag != 1:
-            body = f"{mag}.{body}"
-        pieces.append(("-" if c < 0 else ("+" if pieces else "")) + body)
-    return "".join(pieces)
+    return _format_terms(((c, None, ixs) for ixs, c in form.terms()),
+                         form.n) or "0"
 
 
 # -- .lie fixture files ------------------------------------------------------
@@ -411,11 +290,12 @@ class LieFileEntry:
 def parse_binding(item: str) -> tuple[str, Fraction]:
     """``name=p/q`` as (name, value); BindingError if it is malformed."""
     key, sep, val = item.partition("=")
-    try:
-        if sep:
-            return key.strip(), Fraction(val.strip())
-    except (ValueError, ZeroDivisionError):
-        pass
+    key = key.strip()
+    if sep and re.fullmatch(_NAME, key):
+        try:
+            return key, parse_rational(val)
+        except ParseError:
+            pass
     raise BindingError(f"malformed binding {item!r}, expected name=p/q")
 
 
@@ -451,5 +331,9 @@ def parse_lie_text(text: str) -> list[LieFileEntry]:
 
 
 def load_lie_file(path) -> list[LieFileEntry]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_lie_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise LieKernelError(f"cannot read fixture file: {err}") from None
+    return parse_lie_text(text)

@@ -135,11 +135,33 @@ def test_domain_error_exit_code(capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
-@pytest.mark.parametrize("binding", ["l=abc", "l=1/0", "l"])
+@pytest.mark.parametrize("binding", ["l=abc", "l=1/0", "l", "l=0.5", "l=1e3",
+                                     "l=1_000", "1x=2"])
 def test_malformed_binding_exit_code(capsys, binding):
     code, out = run(capsys, "check23", "(0,21,l.31)", "--bind", binding)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "BindingError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "(0,1/0.21)"],
+    ["mmmap", "(0,21,1/2.31)", "--psi", "1/0.123"],
+], ids=["tuple-zero-denominator", "form-zero-denominator"])
+def test_zero_denominator_is_parse_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("content", [None, "(0,0,12)  # name=h3 grading=a,b,c\n"],
+                         ids=["missing-file", "grading-not-integers"])
+def test_bad_corpus_fixture_exit_code(capsys, tmp_path, content):
+    fixture = tmp_path / "bad.lie"
+    if content is not None:
+        fixture.write_text(content)
+    code, out = run(capsys, "corpus", "--fixture", str(fixture))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "LieKernelError"
 
 
 def test_moment_error_exit_code(capsys):
@@ -160,8 +182,9 @@ def test_usage_error_exit_code():
     ["g2-verify", "--F", "1/0,0,0,0"],
     ["g2-verify", "--F", "1,2,3"],
     ["corpus", "--triples", "-5"],
+    ["g2-verify", "--F", "0.5,0,0,0"],
 ], ids=["grading-not-integers", "flow-F-not-rationals", "verify-F-zero-denominator",
-        "verify-F-three-entries", "negative-triples"])
+        "verify-F-three-entries", "negative-triples", "verify-F-decimal"])
 def test_bad_option_value_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

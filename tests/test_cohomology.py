@@ -9,6 +9,8 @@ from liekernel import (CEComplex, LieAlgebra, Subspace, betti,
                        is_23_trivial, lie_derivative, multi_indices,
                        parse_algebra)
 from liekernel.errors import SubspaceError
+from liekernel.families import (FAMILY_NAMES, TABLE_EXCLUDED, TABLE_GRIDS,
+                                FamilySpec, _make_family_unchecked, load_corpus)
 from liekernel.linalg import rank
 
 
@@ -194,3 +196,32 @@ def test_invariant_cohomology_preconditions():
     ideal = Subspace(3, [(0, 1, 0), (0, 0, 1)])
     with pytest.raises(SubspaceError):
         invariant_cohomology_dims(g, ideal, (0, 1, 0))  # not a complement
+
+
+def _codimension_one_cases():
+    """(label, g) for every corpus and table-grid algebra whose derived
+    algebra is a nonzero codimension-one ideal."""
+    algebras = [(e.name, e.algebra) for e in load_corpus()]
+    for name in FAMILY_NAMES:
+        for params in TABLE_GRIDS[name] + TABLE_EXCLUDED.get(name, []):
+            spec = FamilySpec.of(name, **params)
+            algebras.append((spec.label(), _make_family_unchecked(spec)))
+    return [(label, g) for label, g in algebras
+            if 0 < g.derived_algebra().dim == g.n - 1]
+
+
+def test_invariant_cohomology_hochschild_serre():
+    # g = k + Ra with k an ideal: H^i(g) = H^i(k)^g + H^{i-1}(k)^g, so
+    # b_i(g) = d_i + d_{i-1} for every complement a of k
+    cases = _codimension_one_cases()
+    assert len(cases) >= 50
+    for label, g in cases:
+        derived = g.derived_algebra()
+        b = betti(g).betti
+        for j in range(1, g.n + 1):
+            a = unit(g.n, j)
+            if derived.contains(a):
+                continue
+            d = invariant_cohomology_dims(g, derived, a) + [0]
+            assert list(b) == [d[i] + (d[i - 1] if i else 0)
+                               for i in range(g.n + 1)], (label, j)

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liekernel import parse, parse_algebra, parse_form, serialize, serialize_form
+from liekernel import (KForm, multi_indices, parse, parse_algebra, parse_form,
+                       serialize, serialize_form)
 from liekernel.errors import BindingError, JacobiError, ParseError
-from liekernel.parser import expr_of, instantiate, parse_lie_line
+from liekernel.exterior import bits_of
+from liekernel.parser import (AlgebraExpr, Term, expr_of, instantiate,
+                              parse_binding, parse_lie_line, parse_rational)
+
+NONZERO = st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool)
 
 CANONICAL = [
     "(0,21,l.31)",
@@ -54,6 +60,7 @@ def test_parse_bracketed_indices_for_large_n():
     ("(0,,21)", "empty slot"),
     ("(0,21)x", "trailing"),
     ("(0,2)", "two-digit"),
+    ("(0,1/0.21)", "zero denominator"),
 ])
 def test_parse_errors_carry_position(bad, fragment):
     with pytest.raises(ParseError) as err:
@@ -121,3 +128,78 @@ def test_lie_line_parsing():
     assert entry.annotations["name"] == "r3_half"
     assert parse_lie_line("   # pure comment") is None
     assert parse_lie_line("") is None
+
+
+@st.composite
+def algebra_exprs(draw):
+    """A canonical expression: per slot, distinct unordered pairs in either
+    orientation, sorted, each a nonzero rational or a signed parameter."""
+    n = draw(st.integers(1, 16))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda p: p[0] != p[1])
+    slots = []
+    for _ in range(n):
+        terms = []
+        for pair in draw(st.lists(pairs, max_size=3 if n > 1 else 0,
+                                  unique_by=frozenset)):
+            param = draw(st.sampled_from([None, None, "l", "mu", "a_2"]))
+            coef = (Fraction(draw(st.sampled_from([1, -1]))) if param
+                    else draw(NONZERO))
+            terms.append(Term(coef, param, pair))
+        slots.append(tuple(sorted(terms, key=lambda t: sorted(t.pair))))
+    return AlgebraExpr(n, tuple(slots))
+
+
+@st.composite
+def kforms(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 4)))
+    basis = [bits_of(ixs)[0] for ixs in multi_indices(n, k)]
+    return KForm(n, k, draw(st.dictionaries(st.sampled_from(basis), NONZERO,
+                                            max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_exprs())
+def test_serialize_parse_round_trip(expr):
+    assert parse(serialize(expr)) == expr
+
+
+@settings(max_examples=80, deadline=None)
+@given(kforms())
+def test_serialize_form_parse_form_round_trip(form):
+    text = serialize_form(form)
+    assert parse_form(text, form.n, form.k) == form
+    if not form.is_zero():
+        assert parse_form(text, form.n) == form
+
+
+@pytest.mark.parametrize("text", ["1/0.123", "123-0/0.123"])
+def test_form_zero_denominator_is_parse_error(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_form(text, 3)
+
+
+def test_form_term_rules():
+    # the first term takes a zero coefficient and a '+' like any later one
+    assert parse_form("0.123", 5) == KForm.zero(5, 3)
+    assert parse_form("+123-0.145", 5) == parse_form("123", 5)
+    assert parse_form(" + 1 / 2 . [1,3]", 5) == parse_form("1/2.13", 5)
+    with pytest.raises(ParseError):
+        parse_form("l.123", 5)  # parameter names belong to tuples only
+
+
+@pytest.mark.parametrize("item", ["l=0.5", "l=1e3", "l=1_000", "l=1/0", "l=",
+                                  "l", "1x=2", "=2", "l.1=2", "l=1/2/3"])
+def test_binding_follows_the_rational_rule(item):
+    with pytest.raises(BindingError):
+        parse_binding(item)
+
+
+def test_binding_values():
+    assert parse_binding("l=-1/2") == ("l", Fraction(-1, 2))
+    assert parse_binding(" a_2 = +3 ") == ("a_2", Fraction(3))
+    assert parse_binding("mu=4/6") == ("mu", Fraction(2, 3))
+    assert parse_rational("-7") == -7
+    with pytest.raises(ParseError):
+        parse_rational("0.5")
