@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import corpus as corpus_mod
 from .cohomology import betti, is_23_trivial
@@ -47,11 +46,7 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, float) and not np.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
     return x
 
@@ -68,10 +63,11 @@ def _emit(args, result: dict, mode: str = "exact", tol: float | None = None) -> 
     if tol is not None:
         payload["tol"] = tol
     if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                         allow_nan=False))
     else:
         for key, value in payload["result"].items():
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}")
     return 0
 
 
@@ -104,6 +100,16 @@ def _weights_arg(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"wants comma-separated integers, got {text!r}") from None
+
+
+def _finite_float_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"wants a finite number, got {text!r}")
+    return value
 
 
 def _positive_int_arg(text: str) -> int:
@@ -259,16 +265,15 @@ def cmd_g2_flow(args):
     lo, hi = max_interval(f_mat)
     t_end = args.t_end
     if t_end is None:
-        if not np.isfinite(hi):
+        if not math.isfinite(hi):
             raise LieKernelError("interval is unbounded; pass --t-end")
         t_end = 0.9 * hi
     traj = flow_integrate(f_mat, t_end, args.step)
     final = traj.final
     result = {
-        "interval": [repr(lo) if not np.isfinite(lo) else lo,
-                     repr(hi) if not np.isfinite(hi) else hi],
+        "interval": [lo, hi],
         "t_end": t_end,
-        "steps": len(traj.times) - 1,
+        "steps": len(traj.samples) - 1,
         "Q_final": [[final.Q[0][0], final.Q[0][1]],
                     [final.Q[1][0], final.Q[1][1]]],
         "h_final": final.h,
@@ -284,19 +289,19 @@ def cmd_g2_flow(args):
         study = flow_order_study(f_mat, t_end, max(args.step, 1e-2))
         result["order_study"] = {
             "errors": study.errors,
-            "observed_order": repr(study.observed_order)
-            if not np.isfinite(study.observed_order) else study.observed_order,
+            "observed_order": study.observed_order,
             "roundoff_limited": study.roundoff_limited,
         }
         self_test = rk4_stepper_order_selftest()
         result["stepper_selftest_order"] = self_test.observed_order
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,q11,q12,q22,h\n")
-            for i in range(len(traj.times)):
-                fh.write(f"{traj.times[i]:.12g},{traj.q11[i]:.12g},"
-                         f"{traj.q12[i]:.12g},{traj.q22[i]:.12g},"
-                         f"{traj.h[i]:.12g}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("t,q11,q12,q22,h\n")
+                for row in traj.samples:
+                    fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        except OSError as err:
+            raise LieKernelError(f"cannot write the trajectory: {err}") from None
         result["csv"] = args.csv
     return _emit(args, result, mode="float", tol=1e-8)
 
@@ -391,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, algebra=False)
     p.add_argument("--F", required=True, type=_mat2_arg,
                    help="2x2 curvature coefficients a,b,c,d")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t-end", type=_finite_float_arg, default=None,
+                   dest="t_end")
+    p.add_argument("--step", type=_finite_float_arg, default=1e-3)
     p.add_argument("--compare-closed-form", action="store_true")
     p.add_argument("--csv", help="dump t,q11,q12,q22,h trajectory")
     p.set_defaults(func=cmd_g2_flow)
@@ -418,7 +424,7 @@ def main(argv=None) -> int:
         print(json.dumps({
             "schema": SCHEMA,
             "error": {"type": type(err).__name__, "message": str(err)},
-        }, sort_keys=True))
+        }, sort_keys=True, allow_nan=False))
         return 1
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
 
 from .errors import DimensionMismatch, HodgeError, LieKernelError
 from . import linalg
@@ -328,16 +327,6 @@ def pullback(form: KForm, matrix) -> KForm:
     return KForm(n, form.k, acc)
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
 def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
     """Hodge star of a k-form for a positive-definite gram matrix.
 
@@ -357,7 +346,7 @@ def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
             raise HodgeError("gram matrix must be symmetric")
     if not linalg.is_positive_definite(gram):
         raise HodgeError("gram matrix is not positive-definite")
-    vol_scale = _rational_sqrt(linalg.det(gram))
+    vol_scale = linalg.rational_root(linalg.det(gram), 2)
     if vol_scale is None:
         raise HodgeError("det(gram) is not a rational square; no exact volume")
     ginv = linalg.inverse(gram)

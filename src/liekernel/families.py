@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-import numpy as np
+import math
 
 from .cohomology import betti, is_23_trivial
 from .errors import AdmissibilityError, LieKernelError
@@ -330,13 +330,34 @@ def make_unimodular_5dim() -> LieAlgebra:
     return parse_algebra("(0,12,2.13,-4.14,15)", name="u5")
 
 
-UNIMODULAR_QUARTIC = (1.0, -8.0, 18.0, -10.0, 1.0)
+UNIMODULAR_QUARTIC = (1, -8, 18, -10, 1)
 
 
 def unimodular_quartic_log_sum() -> tuple[float, list[float]]:
-    """Float check on the irrational-weight original: log-roots sum to 0."""
-    roots = sorted(np.roots(UNIMODULAR_QUARTIC).real)
-    return float(abs(sum(np.log(roots)))), [float(r) for r in roots]
+    """Float check on the irrational-weight original: log-roots sum to 0.
+
+    The monic quartic changes sign across four cells of the grid k/8 inside
+    its Cauchy bound, so each cell holds exactly one of its four roots.  Each
+    is bisected exactly, on x / 2^64 with integer x, then turned to float.
+    """
+    scale = 1 << 64
+
+    def sign(x: int) -> int:
+        p = sum(a * x ** (4 - i) * scale ** i
+                for i, a in enumerate(UNIMODULAR_QUARTIC))
+        return (p > 0) - (p < 0)
+
+    cells = 8 * (1 + max(map(abs, UNIMODULAR_QUARTIC[1:])))
+    roots = []
+    for k in range(-cells, cells):
+        lo, hi = k * scale // 8, (k + 1) * scale // 8
+        lo_sign = sign(lo)
+        if lo_sign * sign(hi) < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if sign(mid) == lo_sign else (lo, mid)
+            roots.append(float(Fraction(lo + hi, 2 * scale)))
+    return abs(sum(map(math.log, roots))), roots
 
 
 def seven_dim_characteristically_nilpotent(alpha) -> LieAlgebra:
@@ -351,10 +372,6 @@ def seven_dim_characteristically_nilpotent(alpha) -> LieAlgebra:
 # -- matrix fixtures -----------------------------------------------------------
 
 SU3_BASIS_NAMES = ("A1", "A2", "B12", "B13", "B23", "C12", "C13", "C23")
-
-
-def _m3(entries):
-    return [[Fraction(x) for x in row] for row in entries]
 
 
 def _su3_matrices():
@@ -451,9 +468,13 @@ def load_corpus(path=None) -> list[CorpusEntry]:
     """Parse a .lie fixture file, by default the shipped corpus.lie, into
     named, validated algebras."""
     items = parse_lie_text(corpus_text()) if path is None else load_lie_file(path)
-    entries = []
+    entries, lines = [], {}
     for parsed in items:
         name = parsed.annotations.get("name", f"line{parsed.line}")
+        if name in lines:
+            raise LieKernelError(f"line {parsed.line}: name {name!r} is "
+                                 f"already used on line {lines[name]}")
+        lines[name] = parsed.line
         grading = None
         if "grading" in parsed.annotations:
             text = parsed.annotations["grading"]

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import numpy as np
+import math
 
 from .cohomology import extend_as_derivation
 from .errors import DimensionMismatch, FlowError, G2Error
 from .exterior import (KForm, basis_form, covector_of, interior,
                        vector_of, wedge, wedge_all)
 from . import linalg
-from .linalg import is_positive_definite
+from .linalg import is_positive_definite, rational_root
 
 
 # -- polynomials in t over Q (the DGA coefficient ring) -----------------------
@@ -153,29 +153,6 @@ def star_phi0() -> KForm:
             - wedge(e(1, 2), e(5, 6) + e(4, 7)))
 
 
-def _int_nth_root(x: int, k: int) -> int | None:
-    if x < 0:
-        return None
-    if x in (0, 1):
-        return x
-    lo, hi = 0, 1 << (x.bit_length() // k + 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** k == x else None
-
-
-def _rational_nth_root(x: Fraction, k: int) -> Fraction | None:
-    p = _int_nth_root(x.numerator, k)
-    q = _int_nth_root(x.denominator, k)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
 @dataclass
 class MetricResult:
     gram: list
@@ -188,10 +165,12 @@ class MetricResult:
 def metric_from_phi(phi: KForm) -> MetricResult:
     """Recover the metric of a G2 three-form from the volume relation.
 
-    B_ij is the e_{1..7} coefficient of (E_i -| phi)^(E_j -| phi)^phi, so
-    B = 6 g sqrt(det g) and g = B / (6 (det B / 6^7)^{1/9}).  The ninth
-    root is taken exactly when rational, otherwise the result is floating
-    with relative tolerance 1e-12.
+    B_ij is the e_{1..7} coefficient of (E_i -| phi)^(E_j -| phi)^phi and
+    B = 6 g sqrt(det g).  Hence (det B / 6^7)^{1/9} = sqrt(det g) is the
+    volume scale and g = B / (6 sqrt(det g)).  B is a positive multiple of
+    g, so the form is of G2 type exactly when B is positive-definite.  The
+    ninth root is taken exactly when rational, otherwise the result is
+    floating with relative tolerance 1e-12.
     """
     if phi.n != 7 or phi.k != 3:
         raise DimensionMismatch("expected a three-form on R^7")
@@ -199,26 +178,16 @@ def metric_from_phi(phi: KForm) -> MetricResult:
     top = (1, 2, 3, 4, 5, 6, 7)
     b = [[wedge_all(contractions[i], contractions[j], phi)[top]
           for j in range(7)] for i in range(7)]
-    det_b = linalg.det(b)
-    if det_b <= 0:
-        raise G2Error("det B <= 0: form is not of G2 type")
-    ratio = det_b / Fraction(6 ** 7)
-    root = _rational_nth_root(ratio, 9)
+    if not is_positive_definite(b):
+        raise G2Error("B is not positive-definite: form is not of G2 type")
+    ratio = linalg.det(b) / 6 ** 7
+    root = rational_root(ratio, 9)
     if root is not None:
-        scale = 6 * root
-        gram = [tuple(x / scale for x in row) for row in b]
-        if not is_positive_definite(gram):
-            raise G2Error("recovered gram matrix is not positive-definite")
-        vol = root * basis_form(7, *top)
-        return MetricResult(gram, vol, True, root)
-    scale = 6.0 * float(ratio) ** (1.0 / 9.0)
-    gram_f = np.array([[float(x) for x in row] for row in b]) / scale
-    eigs = np.linalg.eigvalsh(gram_f)
-    if eigs.min() <= 1e-12 * max(1.0, eigs.max()):
-        raise G2Error("recovered gram matrix is not positive-definite")
-    vol_scale = float(np.sqrt(np.linalg.det(gram_f)))
-    return MetricResult([tuple(row) for row in gram_f.tolist()],
-                        None, False, vol_scale, tol=1e-12)
+        gram = [tuple(x / (6 * root) for x in row) for row in b]
+        return MetricResult(gram, root * basis_form(7, *top), True, root)
+    root = float(ratio) ** (1.0 / 9.0)
+    gram = [tuple(float(x) / (6.0 * root) for x in row) for row in b]
+    return MetricResult(gram, None, False, root, tol=1e-12)
 
 
 # -- the T^2 frame of a G2 form ------------------------------------------------
@@ -258,7 +227,7 @@ def g2t2_decompose(phi: KForm, star_phi: KForm, u, v, gram) -> G2Frame:
     if denom == 0:
         raise G2Error("U and V are parallel: h is undefined")
     h2 = 1 / denom
-    root = _rational_nth_root(h2, 2)
+    root = rational_root(h2, 2)
     h = root if root is not None else float(h2) ** 0.5
     ub = covector_of(n, gu)
     vb = covector_of(n, gv)
@@ -316,11 +285,11 @@ class CoherentTripleFrame:
         q11 = wedge(sigma1, sigma1)[top] / vol2
         q22 = wedge(sigma2, sigma2)[top] / vol2
         q12 = wedge(sigma1, sigma2)[top] / vol2
-        if q11 <= 0 or q11 * q22 - q12 * q12 <= 0:
-            raise G2Error("wedge matrix is not positive-definite")
         det_q = q11 * q22 - q12 * q12
-        h = _rational_nth_root(det_q, 2)
-        return cls(sigma0, sigma1, sigma2, ((q11, q12), (q12, q22)), h)
+        if q11 <= 0 or det_q <= 0:
+            raise G2Error("wedge matrix is not positive-definite")
+        return cls(sigma0, sigma1, sigma2, ((q11, q12), (q12, q22)),
+                   rational_root(det_q, 2))
 
     @property
     def det_q(self) -> Fraction:
@@ -365,17 +334,12 @@ def su3_structure(triple: CoherentTripleFrame, theta1: KForm,
     s0 = lift_base_form(triple.sigma0, 6, 2)
     s1 = lift_base_form(triple.sigma1, 6, 2)
     s2 = lift_base_form(triple.sigma2, 6, 2)
-    if triple.h is not None:
-        h = triple.h
-        hinv = 1 / h
-    else:
+    h = triple.h
+    if h is None:  # sqrt(det Q) is irrational: the forms become floating
         h = float(triple.det_q) ** 0.5
-        hinv = 1.0 / h
-        s0 = s0.map_coeffs(float)
-        s1 = s1.map_coeffs(float)
-        s2 = s2.map_coeffs(float)
-        theta1 = theta1.map_coeffs(float)
-        theta2 = theta2.map_coeffs(float)
+        s0, s1, s2, theta1, theta2 = (
+            f.map_coeffs(float) for f in (s0, s1, s2, theta1, theta2))
+    hinv = 1 / h
     (q11, q12), (_, q22) = triple.q
     sigma = h * s0 + hinv * wedge(theta1, theta2)
     psi_plus = wedge(s1, theta1) + wedge(s2, theta2)
@@ -454,20 +418,15 @@ def max_interval(f_mat) -> tuple[float, float]:
     """Maximal interval around 0 with det(1 + tA) nonzero, as floats."""
     a = _curvature_twist(f_mat)
     det_a, tr_a = float(mat2_det(a)), float(mat2_tr(a))
-    if det_a == 0:
-        if tr_a == 0:
-            return (-np.inf, np.inf)
-        root = -1.0 / tr_a
-        return (root, np.inf) if root < 0 else (-np.inf, root)
     disc = tr_a * tr_a - 4.0 * det_a
-    if disc < 0:
-        return (-np.inf, np.inf)
-    r1 = (-tr_a - np.sqrt(disc)) / (2.0 * det_a)
-    r2 = (-tr_a + np.sqrt(disc)) / (2.0 * det_a)
-    r1, r2 = min(r1, r2), max(r1, r2)
-    lo = r2 if r2 < 0 else (r1 if r1 < 0 else -np.inf)
-    hi = r1 if r1 > 0 else (r2 if r2 > 0 else np.inf)
-    return (lo, hi)
+    if det_a == 0:
+        roots = [-1.0 / tr_a] if tr_a else []
+    else:
+        roots = [(-tr_a + s * math.sqrt(disc)) / (2.0 * det_a)
+                 for s in (-1.0, 1.0)] if disc >= 0 else []
+    # det(1 + 0A) = 1, so no root is 0
+    return (max((r for r in roots if r < 0), default=-math.inf),
+            min((r for r in roots if r > 0), default=math.inf))
 
 
 def flow_closed_form(f_mat, t) -> FlowState:
@@ -497,51 +456,55 @@ def completeness_classify(f_mat) -> str:
 class FlowTrajectory:
     F: tuple
     A: tuple
-    times: np.ndarray
-    q11: np.ndarray
-    q12: np.ndarray
-    q22: np.ndarray
-    h: np.ndarray
+    samples: list  # (t, q11, q12, q22, h) at t = 0 and after each step
     final: FlowState
 
     def h2_detq_residual(self) -> float:
-        return float(np.max(np.abs(self.h ** 2 - (self.q11 * self.q22
-                                                  - self.q12 ** 2))))
+        return max(abs(h * h - (a * c - b * b)) for _, a, b, c, h in self.samples)
+
+
+MAX_STEPS = 10 ** 6
 
 
 def rk4_integrate(rhs, y0, t_end: float, step: float, on_step=None):
-    """Classical fixed-step RK4; the last step is shortened to hit t_end."""
+    """Classical RK4 over [0, t_end] in n = ceil(|t_end| / step) equal steps.
+
+    The state is a list of floats.  Raises FlowError unless t_end and step
+    are finite, step is positive and n is at most MAX_STEPS.
+    """
+    if not (math.isfinite(t_end) and math.isfinite(step)):
+        raise FlowError("t_end and step must be finite")
     if step <= 0:
         raise FlowError("step must be positive")
-    y = np.asarray(y0, dtype=float)
-    t = 0.0
-    direction = 1.0 if t_end >= 0 else -1.0
-    while direction * (t_end - t) > 1e-15:
-        dt = direction * min(step, abs(t_end - t))
+    if abs(t_end) / step > MAX_STEPS:
+        raise FlowError(f"|t_end| / step exceeds the cap of {MAX_STEPS} steps")
+    n = math.ceil(abs(t_end) / step)
+    dt = t_end / n if n else 0.0
+    half, sixth = 0.5 * dt, dt / 6.0
+    y = [float(v) for v in y0]
+    for i in range(n):
+        t = i * dt
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
+        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if on_step is not None:
-            on_step(t, y)
+            on_step(t + dt, y)
     return y
 
 
-def _flow_rhs(f_np):
+def _flow_rhs(f):
+    (f11, f12), (f21, f22) = f
+    dm = [-f12, -f22, f11, f21]
+
     def rhs(_t, y):
-        m = y[0:4].reshape(2, 2)
-        q11, q12, q22 = y[4], y[5], y[6]
-        h = y[7]
-        mf = m @ f_np
-        dm = np.array([[-f_np[0][1], -f_np[1][1]], [f_np[0][0], f_np[1][0]]])
-        dq11 = -2.0 * mf[0, 1]
-        dq22 = 2.0 * mf[1, 0]
-        dq12 = mf[0, 0] - mf[1, 1]
-        dh = (q11 * mf[1, 0] - q12 * mf[0, 0] + q12 * mf[1, 1]
-              - q22 * mf[0, 1]) / h
-        return np.concatenate([dm.reshape(4), [dq11, dq12, dq22, dh]])
+        m11, m12, m21, m22, q11, q12, q22, h = y
+        mf11, mf12 = m11 * f11 + m12 * f21, m11 * f12 + m12 * f22
+        mf21, mf22 = m21 * f11 + m22 * f21, m21 * f12 + m22 * f22
+        return dm + [-2.0 * mf12, mf11 - mf22, 2.0 * mf21,
+                     (q11 * mf21 - q12 * mf11 + q12 * mf22 - q22 * mf12) / h]
     return rhs
 
 
@@ -550,30 +513,28 @@ def flow_integrate(f_mat, t_end: float, step: float) -> FlowTrajectory:
 
     M' comes from sigma_1' = -d theta_2, sigma_2' = d theta_1 with the
     curvature frozen in the initial frame; q' and h' from the wedge-matrix
-    evolution.  Raises FlowError if det M changes sign along the way.
+    evolution.  Raises FlowError if det M changes sign along the way or
+    the state overflows.
     """
-    f_np = np.array([[float(x) for x in row] for row in mat2(f_mat)])
-    ts, q11s, q12s, q22s, hs = [0.0], [1.0], [0.0], [1.0], [1.0]
+    f, a = mat2(f_mat), _curvature_twist(f_mat)
+    samples = [(0.0, 1.0, 0.0, 1.0, 1.0)]
 
     def on_step(t, y):
         det_m = y[0] * y[3] - y[1] * y[2]
         if det_m <= 0:
             raise FlowError(f"det M changed sign near t = {t}: left the "
                             "maximal interval")
-        ts.append(t)
-        q11s.append(y[4])
-        q12s.append(y[5])
-        q22s.append(y[6])
-        hs.append(y[7])
+        samples.append((t, y[4], y[5], y[6], y[7]))
 
-    y0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-    y = rk4_integrate(_flow_rhs(f_np), y0, t_end, step, on_step)
+    y0 = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    y = rk4_integrate(_flow_rhs([[float(x) for x in row] for row in f]),
+                      y0, t_end, step, on_step)
+    t = samples[-1][0]
+    if not all(map(math.isfinite, y)):  # inf and nan never turn finite again
+        raise FlowError(f"the state left the float range by t = {t}")
     m = ((y[0], y[1]), (y[2], y[3]))
     q = ((y[4], y[5]), (y[5], y[6]))
-    final = FlowState(ts[-1], mat2(f_mat), _curvature_twist(f_mat), m, q, y[7])
-    return FlowTrajectory(mat2(f_mat), _curvature_twist(f_mat),
-                          np.array(ts), np.array(q11s), np.array(q12s),
-                          np.array(q22s), np.array(hs), final)
+    return FlowTrajectory(f, a, samples, FlowState(t, f, a, m, q, y[7]))
 
 
 @dataclass
@@ -588,6 +549,15 @@ class OrderStudy:
 _ROUNDOFF_FLOOR = 1e-13
 
 
+def _order_study(steps: list, errors: list) -> OrderStudy:
+    """Orders log2(e_i / e_{i+1}) of the pairs with both errors above roundoff."""
+    orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])
+              if e1 > _ROUNDOFF_FLOOR and e2 > _ROUNDOFF_FLOOR]
+    if orders:
+        return OrderStudy(steps, errors, orders, min(orders), False)
+    return OrderStudy(steps, errors, [], math.inf, True)
+
+
 def flow_order_study(f_mat, t_end: float, base_step: float,
                      halvings: int = 3) -> OrderStudy:
     """Step-halving study of flow_integrate against the closed form.
@@ -600,20 +570,13 @@ def flow_order_study(f_mat, t_end: float, base_step: float,
     """
     steps = [base_step / 2 ** i for i in range(halvings + 1)]
     cf = flow_closed_form(mat2(f_mat), Fraction(t_end).limit_denominator(10 ** 14))
-    target = np.array([float(cf.Q[0][0]), float(cf.Q[0][1]),
-                       float(cf.Q[1][1]), float(cf.h)])
+    target = [float(x) for x in (cf.Q[0][0], cf.Q[0][1], cf.Q[1][1], cf.h)]
     errors = []
     for s in steps:
         fs = flow_integrate(f_mat, t_end, s).final
-        got = np.array([fs.Q[0][0], fs.Q[0][1], fs.Q[1][1], fs.h])
-        errors.append(float(np.max(np.abs(got - target))))
-    orders = []
-    for e1, e2 in zip(errors, errors[1:]):
-        if e1 > _ROUNDOFF_FLOOR and e2 > _ROUNDOFF_FLOOR:
-            orders.append(float(np.log2(e1 / e2)))
-    if orders:
-        return OrderStudy(steps, errors, orders, min(orders), False)
-    return OrderStudy(steps, errors, [], float("inf"), True)
+        got = (fs.Q[0][0], fs.Q[0][1], fs.Q[1][1], fs.h)
+        errors.append(max(abs(g - x) for g, x in zip(got, target)))
+    return _order_study(steps, errors)
 
 
 def rk4_stepper_order_selftest(base_step: float = 0.1,
@@ -625,17 +588,13 @@ def rk4_stepper_order_selftest(base_step: float = 0.1,
     flow_integrate even when the flow itself is integrated exactly.
     """
     def rhs(t, y):
-        return np.cos(t) * y
+        return [math.cos(t) * y[0]]
 
-    target = float(np.exp(np.sin(2.0)))
+    target = math.exp(math.sin(2.0))
     steps = [base_step / 2 ** i for i in range(halvings + 1)]
-    errors = [abs(float(rk4_integrate(rhs, [1.0], 2.0, s)[0]) - target)
+    errors = [abs(rk4_integrate(rhs, [1.0], 2.0, s)[0] - target)
               for s in steps]
-    orders = [float(np.log2(e1 / e2)) for e1, e2 in zip(errors, errors[1:])
-              if e1 > _ROUNDOFF_FLOOR and e2 > _ROUNDOFF_FLOOR]
-    if orders:
-        return OrderStudy(steps, errors, orders, min(orders), False)
-    return OrderStudy(steps, errors, [], float("inf"), True)
+    return _order_study(steps, errors)
 
 
 # -- the polynomial-coefficient DGA --------------------------------------------

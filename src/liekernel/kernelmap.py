@@ -64,9 +64,6 @@ class PDualElement:
     algebra: LieAlgebra
     rep: KForm
 
-    def pair_with(self, p: KVector) -> Fraction:
-        return pairing(self.rep, p)
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 

@@ -204,6 +204,26 @@ def is_positive_definite(rows) -> bool:
     return all(det([row[: k + 1] for row in rows[: k + 1]]) > 0 for k in range(n))
 
 
+def rational_root(x, k: int) -> Fraction | None:
+    """The exact k-th root of a rational x >= 0, or None if it is irrational."""
+    x = Fraction(x)
+    if x < 0:
+        return None
+    parts = []
+    for m in (x.numerator, x.denominator):
+        lo, hi = 0, 1 << (m.bit_length() // k + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid ** k < m:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo ** k != m:
+            return None
+        parts.append(lo)
+    return Fraction(*parts)
+
+
 class Subspace:
     """A solved linear subspace: reduced-echelon basis rows of ambient R^n."""
 

@@ -200,9 +200,11 @@ def instantiate(expr: AlgebraExpr, bindings: dict | None = None,
                 name: str | None = None) -> LieAlgebra:
     """Structure constants under de_k(e_i,e_j) = c  =>  [e_i,e_j] = -c e_k.
 
-    The result is NOT Jacobi-validated; callers decide when to check.
+    A binding value given as text follows the rational rule.  The result is
+    NOT Jacobi-validated; callers decide when to check.
     """
-    bindings = {k: Fraction(v) for k, v in (bindings or {}).items()}
+    bindings = {k: parse_rational(v) if isinstance(v, str) else Fraction(v)
+                for k, v in (bindings or {}).items()}
     missing = expr.parameters - set(bindings)
     if missing:
         raise BindingError(f"unbound parameters: {sorted(missing)}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liekernel
 from liekernel.cli import main
 
 
@@ -153,8 +158,10 @@ def test_zero_denominator_is_parse_error(capsys, argv):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
-@pytest.mark.parametrize("content", [None, "(0,0,12)  # name=h3 grading=a,b,c\n"],
-                         ids=["missing-file", "grading-not-integers"])
+@pytest.mark.parametrize("content", [
+    None, "(0,0,12)  # name=h3 grading=a,b,c\n",
+    "(0,0,12)  # name=h3\n(0,0,0)  # name=h3\n",
+], ids=["missing-file", "grading-not-integers", "duplicate-name"])
 def test_bad_corpus_fixture_exit_code(capsys, tmp_path, content):
     fixture = tmp_path / "bad.lie"
     if content is not None:
@@ -162,6 +169,61 @@ def test_bad_corpus_fixture_exit_code(capsys, tmp_path, content):
     code, out = run(capsys, "corpus", "--fixture", str(fixture))
     assert code == 1
     assert json.loads(out)["error"]["type"] == "LieKernelError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--F", "0,0,0,0", "--t-end", "1e9"],
+    ["--F", "0,1,0,0", "--step", "1e-9"],
+    ["--F", "1,0,0,1", "--t-end", "1e200", "--step", "1e199"],
+], ids=["t-end-over-step-cap", "step-over-step-cap", "state-overflow"])
+def test_flow_error_exit_code(capsys, argv):
+    code, out = run(capsys, "g2-flow", *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "FlowError"
+
+
+def test_unwritable_csv_exit_code(capsys, tmp_path):
+    code, out = run(capsys, "g2-flow", "--F", "0,1,0,0",
+                    "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "LieKernelError"
+
+
+def test_non_finite_floats_are_strings(capsys):
+    code, out = run(capsys, "g2-flow", "--F", "0,0,0,0", "--t-end", "1",
+                    "--step", "0.5", "--json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert payload["result"]["interval"] == ["-inf", "inf"]
+    assert payload["result"]["steps"] == 2
+
+
+STDLIB_ONLY = """
+import sys
+
+class StdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top != "liekernel" and top not in sys.stdlib_module_names:
+            raise ImportError(f"{name} is not in the standard library")
+
+sys.meta_path.insert(0, StdlibOnly())
+from liekernel.cli import main
+sys.exit(main())
+"""
+
+
+def test_float_paths_run_on_the_standard_library_alone():
+    src = str(Path(liekernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["tables"], ["g2-verify", "--F", "0,1,0,0"],
+                 ["g2-flow", "--F", "0,1,0,0", "--compare-closed-form"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", STDLIB_ONLY, *argv, "--json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["schema"] == "liekernel-report/1"
 
 
 def test_moment_error_exit_code(capsys):
@@ -183,8 +245,15 @@ def test_usage_error_exit_code():
     ["g2-verify", "--F", "1,2,3"],
     ["corpus", "--triples", "-5"],
     ["g2-verify", "--F", "0.5,0,0,0"],
+    ["g2-flow", "--F", "0,0,0,0", "--t-end", "inf"],
+    ["g2-flow", "--F", "1,0,0,1", "--t-end", "inf"],
+    ["g2-flow", "--F", "0,1,0,0", "--t-end", "nan"],
+    ["g2-flow", "--F", "0,1,0,0", "--step", "nan"],
+    ["g2-flow", "--F", "0,1,0,0", "--step", "1e999"],
 ], ids=["grading-not-integers", "flow-F-not-rationals", "verify-F-zero-denominator",
-        "verify-F-three-entries", "negative-triples", "verify-F-decimal"])
+        "verify-F-three-entries", "negative-triples", "verify-F-decimal",
+        "flow-t-end-inf-flat", "flow-t-end-inf-curved", "flow-t-end-nan",
+        "flow-step-nan", "flow-step-overflows"])
 def test_bad_option_value_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liekernel import (GradedNilpotent, LieAlgebra, betti, graded_extension,
                        is_23_trivial, make_family, parse_algebra,
@@ -167,11 +168,24 @@ def test_unimodular_5dim_surrogate():
     assert serialize(expr_of(g)) == "(0,12,2.13,-4.14,15)"
 
 
+def test_duplicate_fixture_name_is_an_error(tmp_path):
+    fixture = tmp_path / "dup.lie"
+    fixture.write_text("(0,0,12)  # name=h3\n(0,0,0)  # name=h3\n")
+    with pytest.raises(LieKernelError, match="line 2: name 'h3' is already "
+                                             "used on line 1"):
+        load_corpus(fixture)
+
+
 def test_quartic_roots_float_check():
     log_sum, roots = unimodular_quartic_log_sum()
     assert log_sum < 1e-12
     for root, approx in zip(roots, (0.1277, 0.6297, 2.797, 4.446)):
         assert abs(root - approx) / approx < 1e-3
+    x = sympy.Symbol("x")
+    exact = sympy.real_roots(x ** 4 - 8 * x ** 3 + 18 * x ** 2 - 10 * x + 1)
+    assert len(roots) == len(exact) == 4
+    for root, r in zip(roots, exact):
+        assert abs(root - float(r.evalf(30))) <= 2 ** -52 * root
 
 
 def test_characteristically_nilpotent_family_rejects_extensions(rng):

@@ -1,6 +1,6 @@
+import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 
@@ -13,7 +13,7 @@ from liekernel import (CoherentTripleFrame, FlowDGA, Poly, basis_form,
                        rk4_stepper_order_selftest, standard_hyperkahler_triple,
                        star_phi0, su3_structure, vector_of, wedge, wedge_all)
 from liekernel.errors import FlowError, G2Error
-from liekernel.g2flow import halfflat_condition
+from liekernel.g2flow import halfflat_condition, rk4_integrate
 
 TOP7 = (1, 2, 3, 4, 5, 6, 7)
 IDENTITY7 = [tuple(Fraction(int(i == j)) for j in range(7)) for i in range(7)]
@@ -86,6 +86,15 @@ def test_metric_from_scaled_phi_floating():
         for j in range(7):
             target = expected if i == j else 0.0
             assert abs(res.gram[i][j] - target) < 1e-12
+
+
+@pytest.mark.parametrize("c", [2, 3, Fraction(1, 2), 8])
+def test_metric_vol_scale_of_scaled_phi0(c):
+    """Scaling phi by c scales g by c^(2/3), so sqrt(det g) by c^(7/3)."""
+    res = metric_from_phi(c * phi0())
+    expected = float(c) ** (7 / 3)
+    assert abs(res.vol_scale - expected) <= 1e-12 * expected
+    assert res.exact == (c == 8)
 
 
 def test_metric_equivariance_diagonal_and_permutation():
@@ -291,11 +300,14 @@ def test_closed_form_interval_errors():
 
 
 def test_max_interval():
-    assert max_interval(((0, 1), (0, 0))) == (-np.inf, 1.0)
+    assert max_interval(((0, 1), (0, 0))) == (-math.inf, 1.0)
     lo, hi = max_interval(((1, 0), (0, -1)))
     assert (lo, hi) == (-1.0, 1.0)
     lo, hi = max_interval(((0, 0), (0, 0)))
-    assert lo == -np.inf and hi == np.inf
+    assert lo == -math.inf and hi == math.inf
+    # two roots on one side: the interval ends at the one nearer 0
+    assert max_interval(((0, -1), (2, 0))) == (-0.5, math.inf)
+    assert max_interval(((0, 1), (-2, 0))) == (-math.inf, 0.5)
 
 
 def test_h_equals_det_q_sqrt_closed_form():
@@ -321,7 +333,7 @@ def test_rk4_matches_closed_form():
 
 def _pos_boundary(f_mat):
     hi = max_interval(f_mat)[1]
-    return hi if np.isfinite(hi) else 1.0
+    return hi if math.isfinite(hi) else 1.0
 
 
 def test_rk4_constant_for_zero_curvature():
@@ -329,6 +341,27 @@ def test_rk4_constant_for_zero_curvature():
     assert traj.h2_detq_residual() == 0
     assert traj.final.Q == ((1.0, 0.0), (0.0, 1.0))
     assert traj.final.h == 1.0
+
+
+def test_rk4_takes_ceil_uniform_steps():
+    traj = flow_integrate(((0, 1), (0, 0)), 0.9, 1e-4)
+    times = [s[0] for s in traj.samples]
+    assert len(times) == 9001  # 9 000 steps, no trailing sliver
+    widths = [b - a for a, b in zip(times, times[1:])]
+    assert max(widths) - min(widths) < 1e-15
+    assert abs(times[-1] - 0.9) < 1e-12
+
+
+@pytest.mark.parametrize("t_end, step", [
+    (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
+    (1.0, math.inf), (1.0, 0.0), (1.0, -1e-3), (1e9, 1e-3), (1.0, 1e-300),
+])
+def test_rk4_rejects_bad_inputs(t_end, step):
+    def rhs(t, y):
+        raise AssertionError("bad input reached the first step")
+
+    with pytest.raises(FlowError):
+        rk4_integrate(rhs, [1.0], t_end, step)
 
 
 def test_rk4_interval_violation_detected():

@@ -203,3 +203,12 @@ def test_binding_values():
     assert parse_rational("-7") == -7
     with pytest.raises(ParseError):
         parse_rational("0.5")
+
+
+def test_instantiate_string_bindings_follow_the_rational_rule():
+    expr = parse("(0,21,l.31)")
+    assert instantiate(expr, {"l": "-1/2"}).c[0][2][2] == Fraction(-1, 2)
+    assert instantiate(expr, {"l": Fraction(1, 3)}).c[0][2][2] == Fraction(1, 3)
+    for text in ("0.5", "1e3", "1_000", "1/0"):
+        with pytest.raises(ParseError):
+            instantiate(expr, {"l": text})
