@@ -472,13 +472,13 @@ def rk4_integrate(rhs, y0, t_end: float, step: float, on_step=None):
     The state is a list of floats.  Raises FlowError unless t_end and step
     are finite, step is positive and n is at most MAX_STEPS.
     """
-    if not (math.isfinite(t_end) and math.isfinite(step)):
-        raise FlowError("t_end and step must be finite")
-    if step <= 0:
-        raise FlowError("step must be positive")
-    if abs(t_end) / step > MAX_STEPS:
+    if not (math.isfinite(t_end) and 0 < step < math.inf):
+        raise FlowError("t_end must be finite, step finite and positive")
+    q = abs(t_end) / step
+    if q > MAX_STEPS:
         raise FlowError(f"|t_end| / step exceeds the cap of {MAX_STEPS} steps")
-    n = math.ceil(abs(t_end) / step)
+    # ceil(q), but q a few ulps over an integer (0.07 / 0.01) is rounding
+    n = round(q) + (q - round(q) > 4 * math.ulp(q))
     dt = t_end / n if n else 0.0
     half, sixth = 0.5 * dt, dt / 6.0
     y = [float(v) for v in y0]
@@ -527,8 +527,12 @@ def flow_integrate(f_mat, t_end: float, step: float) -> FlowTrajectory:
         samples.append((t, y[4], y[5], y[6], y[7]))
 
     y0 = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
-    y = rk4_integrate(_flow_rhs([[float(x) for x in row] for row in f]),
-                      y0, t_end, step, on_step)
+    try:
+        y = rk4_integrate(_flow_rhs([[float(x) for x in row] for row in f]),
+                          y0, t_end, step, on_step)
+    except ZeroDivisionError:  # an RK4 stage landed on h = det M = 0
+        raise FlowError(f"det M reached 0 after t = {samples[-1][0]}: left "
+                        "the maximal interval") from None
     t = samples[-1][0]
     if not all(map(math.isfinite, y)):  # inf and nan never turn finite again
         raise FlowError(f"the state left the float range by t = {t}")

@@ -175,7 +175,10 @@ def test_bad_corpus_fixture_exit_code(capsys, tmp_path, content):
     ["--F", "0,0,0,0", "--t-end", "1e9"],
     ["--F", "0,1,0,0", "--step", "1e-9"],
     ["--F", "1,0,0,1", "--t-end", "1e200", "--step", "1e199"],
-], ids=["t-end-over-step-cap", "step-over-step-cap", "state-overflow"])
+    ["--F", "0,1,0,0", "--t-end", "1", "--step", "0.5"],
+    ["--F", "0,1,0,0", "--t-end", "1.5", "--step", "0.25"],
+], ids=["t-end-over-step-cap", "step-over-step-cap", "state-overflow",
+        "stage-on-interval-end", "stage-on-interval-end-inside-run"])
 def test_flow_error_exit_code(capsys, argv):
     code, out = run(capsys, "g2-flow", *argv)
     assert code == 1

@@ -352,6 +352,18 @@ def test_rk4_takes_ceil_uniform_steps():
     assert abs(times[-1] - 0.9) < 1e-12
 
 
+@pytest.mark.parametrize("t_end, step, n", [
+    (0.07, 0.01, 7), (2.7, 0.3, 9), (1.1, 0.1, 11), (0.3, 0.1, 3),
+    (0.25, 0.1, 3),
+])
+def test_rk4_step_count_ignores_quotient_rounding(t_end, step, n):
+    # 0.07 / 0.01 and 2.7 / 0.3 round just above 7 and 9
+    times = []
+    rk4_integrate(lambda t, y: [0.0], [1.0], t_end, step,
+                  lambda t, y: times.append(t))
+    assert len(times) == n
+
+
 @pytest.mark.parametrize("t_end, step", [
     (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan),
     (1.0, math.inf), (1.0, 0.0), (1.0, -1e-3), (1e9, 1e-3), (1.0, 1e-300),
