@@ -5,18 +5,25 @@ de^k = -sum_{i<j} c^k_ij e_ij and extended as an antiderivation; this is
 the alternating-sum formula
 (da)(X_0..X_k) = sum_{i<j} (-1)^{i+j} a([X_i,X_j], X_0..^i..^j..X_k)
 packaged degree by degree, and d o d = 0 is exactly the Jacobi identity.
-The differential matrices are kept as sparse rows, and their ranks are
-taken by exact sparse integer elimination (`linalg.rank`).
+The differential matrices are kept as sparse integer rows of D d_k, with D
+the common denominator of the structure constants (`CEComplex.scale`),
+built straight from the scaled constants with bitmask signs.  Ranks, pivots,
+cocycles and coboundaries are the same at any scale, so they read these rows
+as they are; the readers of the matrix itself, `ce_differential` and
+`LieKernel.dP_rows`, divide by D.  Ranks are taken by exact
+sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
+rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .errors import SubspaceError
-from .exterior import KForm, bits_of, indices_of, multi_indices, wedge_sign
+from .exterior import KForm, indices_of, multi_indices, wedge_sign
 from .liealg import LieAlgebra
 from .linalg import Subspace, identity, nullspace, rank, transpose, vec
 
@@ -52,8 +59,9 @@ def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) ->
 class CEComplex:
     """CE differential matrices of one algebra, with cached Z^k and B^k.
 
-    The complex keeps only n and de^k, not the algebra: the algebra caches
-    its complex (`complex_of`), and a reference back would make a cycle.
+    The complex keeps only n, de^k and the scaled terms of D de^k, not the
+    algebra: the algebra caches its complex (`complex_of`), and a reference
+    back would make a cycle.
     """
 
     def __init__(self, algebra: LieAlgebra, validate: bool = True):
@@ -61,14 +69,21 @@ class CEComplex:
             algebra.validate()
         self._jacobi = validate  # so d o d = 0, which d_rank relies on
         self.n = n = algebra.n
+        self.scale, br = algebra.scaled_brackets()
+        # de^m = -sum_{a<b} c^m_ab e_ab: exactly for d, times D for d_rows,
+        # where each term also keeps the bits strictly between a and b
         d1: list[dict] = [{} for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k, q in algebra.sc[i][j].items():
-                    d1[k][(1 << i) | (1 << j)] = -q
+        self._terms: list[list] = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                ab, between = (1 << a) | (1 << b), (1 << b) - (2 << a)
+                for m, q in algebra.sc[a][b].items():
+                    d1[m][ab] = -q
+                    self._terms[m].append((ab, between, -br[a][b][m]))
         self._d1 = [KForm(n, 2, coeffs) for coeffs in d1]
         self._rows: dict[int, list] = {}
         self._rank: dict[int, int] = {}
+        self._pivots: dict[int, set] = {}
         self._cocycles: dict[int, Subspace] = {}
         self._coboundaries: dict[int, Subspace] = {}
 
@@ -78,29 +93,52 @@ class CEComplex:
         return extend_as_derivation(self._d1, form, 2)
 
     def d_rows(self, k: int) -> list[dict]:
-        """Sparse row i = {j: coefficient of e_J_j in d(e_I_i)}, lex indices."""
+        """Sparse integer row i = {j: D times the coefficient of e_J_j in
+        d(e_I_i)}, lex indices, D = `scale`."""
         if k not in self._rows:
-            n = self.n
-            col = {bits_of(ixs)[0]: j
-                   for j, ixs in enumerate(multi_indices(n, k + 1))}
-            self._rows[k] = [
-                {col[b]: c for b, c in self.d(
-                    KForm(n, k, {bits_of(ixs)[0]: Fraction(1)})).coeffs.items()}
-                for ixs in multi_indices(n, k)]
+            n, terms = self.n, self._terms
+            col = {sum(1 << i for i in ixs): j
+                   for j, ixs in enumerate(combinations(range(n), k + 1))}
+            rows = []
+            for ixs in combinations(range(n), k):
+                bits = sum(1 << i for i in ixs)
+                acc: dict[int, int] = {}
+                for pos, m in enumerate(ixs):
+                    rest = bits ^ (1 << m)
+                    # e_ab ^ e_rest = (-1)^{#rest between a and b} e_{ab|rest},
+                    # after (-1)^pos to move d(e^m) to the front
+                    for ab, between, v in terms[m]:
+                        if ab & rest:
+                            continue
+                        if ((rest & between).bit_count() + pos) & 1:
+                            v = -v
+                        key = ab | rest
+                        acc[key] = acc.get(key, 0) + v
+                rows.append({col[b]: v for b, v in acc.items() if v})
+            self._rows[k] = rows
         return self._rows[k]
+
+    def unscale(self, rows: list[dict]) -> list[dict]:
+        """Rows of `d_rows` divided by `scale`: entries of d itself."""
+        d = self.scale
+        return [{j: Fraction(v, d) for j, v in row.items()} for row in rows]
 
     def d_rank(self, k: int) -> int:
         if k not in self._rank:
             if k >= self.n:
                 self._rank[k] = 0
             else:
-                # d o d = 0: each row y of d_{k-1} has y d_k = 0, so the rows
-                # of d_k at the distinct first indices min(y) lie in the span
-                # of the other rows, and dropping them keeps the rank.
-                skip = ({min(y) for y in self.d_rows(k - 1) if y}
-                        if k and self._jacobi else ())
+                # d o d = 0: an echelon row y of d_{k-1} has y d_k = 0 and is
+                # zero before its pivot, so going down the pivots each row of
+                # d_k at a pivot column of d_{k-1} lies in the span of the
+                # rows off those columns, and dropping them keeps the rank
+                skip = ()
+                if k and self._jacobi:
+                    self.d_rank(k - 1)
+                    skip = self._pivots[k - 1]
                 rows = [r for i, r in enumerate(self.d_rows(k)) if i not in skip]
-                self._rank[k] = rank(rows, comb(self.n, k + 1))
+                self._pivots[k] = pivots = set()
+                self._rank[k] = rank(rows, comb(self.n, k + 1), pivots=pivots)
         return self._rank[k]
 
     def cocycles(self, k: int) -> Subspace:
@@ -132,12 +170,16 @@ class CEComplex:
         return self._coboundaries[k]
 
     def verify_d_squared(self) -> bool:
-        """d o d == 0 in every degree; fails iff Jacobi fails."""
-        n = self.n
-        for k in range(n):
-            for ixs in multi_indices(n, k):
-                f = KForm.from_terms(n, {ixs: Fraction(1)}, k)
-                if not self.d(self.d(f)).is_zero():
+        """d o d == 0 in every degree, as d_rows(k) d_rows(k+1) == 0;
+        fails iff Jacobi fails."""
+        for k in range(self.n - 1):
+            nxt = self.d_rows(k + 1)
+            for row in self.d_rows(k):
+                acc: dict[int, int] = {}
+                for j, v in row.items():
+                    for t, w in nxt[j].items():
+                        acc[t] = acc.get(t, 0) + v * w
+                if any(acc.values()):
                     return False
         return True
 
@@ -154,7 +196,8 @@ def complex_of(g: LieAlgebra) -> CEComplex:
 
 def ce_differential(g: LieAlgebra, k: int):
     """Matrix of d: Lambda^k -> Lambda^{k+1}; sparse rows, images of lex basis."""
-    return complex_of(g).d_rows(k)
+    cx = complex_of(g)
+    return cx.unscale(cx.d_rows(k))
 
 
 @dataclass(frozen=True)

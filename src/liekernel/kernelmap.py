@@ -52,6 +52,10 @@ class LieKernel:
 
     def dP_rows(self) -> list[dict]:
         """Matrix of d_P: sparse rows of d_2 at the slice, over lex triples."""
+        return self.complex.unscale(self._scaled_dP_rows())
+
+    def _scaled_dP_rows(self) -> list[dict]:
+        """The integer rows of D d_P, for the scale-free rank."""
         rows = self.complex.d_rows(2)
         return [rows[c] for c in self.slice]
 
@@ -120,7 +124,7 @@ def dP_properties(g: LieAlgebra) -> DPProperties:
     kernel = lie_kernel(g)
     cx = kernel.complex
     n = g.n
-    r = rank(kernel.dP_rows(), comb(n, 3))
+    r = rank(kernel._scaled_dP_rows(), comb(n, 3))
     dim_pstar = kernel.dim
     dim_z3 = comb(n, 3) - cx.d_rank(3)
     injective = r == dim_pstar

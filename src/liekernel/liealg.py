@@ -1,10 +1,12 @@
 """Lie algebra structure: bracket, series, derivations, direct sums.
 
-Structure constants are kept twice: dense as the public c[i][j][k] =
+Structure constants are kept dense as the public c[i][j][k] =
 coefficient of e_k in [e_i, e_j], all Fractions, for callers that index
 them, and as their nonzeros, sc[i][j] = {k: c^k_ij}, which bracket, ad,
 Jacobi validation and the CE complex iterate over.  Most constants of a
-real algebra are zero.
+real algebra are zero.  `scaled_brackets` keeps those nonzeros once more,
+times their common denominator D, as integers, for the Jacobi test and the
+integer CE rows.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ class LieAlgebra:
                               for row in plane) for plane in self.c)
         self.name = name
         self._validated = False
+        self._scaled = None  # filled by scaled_brackets
         self._complex = None  # filled by cohomology.complex_of
         self._kernel = None  # filled by kernelmap.lie_kernel
         self._check_antisymmetry()
@@ -76,13 +79,9 @@ class LieAlgebra:
         """Check the Jacobi identity once; cached afterwards."""
         if self._validated:
             return self
-        # [e_a, e_b] as {m: D c^m_ab}, D a common denominator: the identity is
-        # quadratic in c, so it holds for D c exactly when it holds for c, and
-        # the cyclic sums run in integers over nonzeros only
-        d = lcm(*(q.denominator for plane in self.sc for row in plane
-                  for q in row.values()))
-        br = [[{m: q.numerator * (d // q.denominator) for m, q in row.items()}
-               for row in plane] for plane in self.sc]
+        # the identity is quadratic in c, so it holds for D c exactly when
+        # it holds for c, and the cyclic sums run in integers over nonzeros
+        br = self.scaled_brackets()[1]
         for i, j, k in combinations(range(self.n), 3):
             total: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -95,6 +94,18 @@ class LieAlgebra:
                     + (f" in {self.name}" if self.name else ""))
         self._validated = True
         return self
+
+    def scaled_brackets(self) -> tuple[int, tuple]:
+        """(D, br): D the least common denominator of the structure
+        constants and br[a][b] = {m: D c^m_ab} in integers; cached."""
+        if self._scaled is None:
+            d = lcm(*(q.denominator for plane in self.sc for row in plane
+                      for q in row.values()))
+            self._scaled = d, tuple(
+                tuple({m: q.numerator * (d // q.denominator)
+                       for m, q in row.items()} for row in plane)
+                for plane in self.sc)
+        return self._scaled
 
     def is_valid(self) -> bool:
         try:
@@ -267,13 +278,20 @@ class LieAlgebra:
         ]
 
     def is_characteristically_nilpotent(self) -> bool:
-        """All derivations nilpotent, tested as nilpotency of Der(g)."""
+        """All derivations nilpotent.
+
+        Der(g) must be a nilpotent Lie algebra of nilpotent matrices; in a
+        nilpotent linear Lie algebra the nilpotent elements form a subspace,
+        so testing the basis suffices.  Der(R) = gl(1) is abelian, hence
+        nilpotent, but its identity is not a nilpotent matrix.
+        """
         if not self.is_nilpotent():
             raise LieKernelError("characteristic nilpotency needs a nilpotent input")
-        der = matrix_lie_algebra(self.derivation_matrices(), name="Der")
-        if der is None:
-            return True  # zero-dimensional derivation algebra
-        return der.is_nilpotent()
+        matrices = self.derivation_matrices()
+        if not all(is_nilpotent_matrix(m) for m in matrices):
+            return False
+        der = matrix_lie_algebra(matrices, name="Der")
+        return der is None or der.is_nilpotent()
 
     def __repr__(self):
         label = self.name or f"dim {self.n}"

@@ -55,9 +55,14 @@ def _sparse(rows, ncols: int | None = None):
             elif len(row) != ncols:
                 raise DimensionMismatch("row has wrong length")
             items = enumerate(row)
-        fr = {c: q for c, x in items if (q := Fraction(x))}
-        d = lcm(*(q.denominator for q in fr.values()))
-        ints = {c: q.numerator * (d // q.denominator) for c, q in fr.items()}
+        ints = {c: x for c, x in items if x}
+        if all(type(x) is int for x in ints.values()):
+            d = 1
+        else:
+            fr = {c: q for c, x in ints.items() if (q := Fraction(x))}
+            d = lcm(*(q.denominator for q in fr.values()))
+            ints = {c: q.numerator * (d // q.denominator)
+                    for c, q in fr.items()}
         g = gcd(*ints.values()) or 1
         out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
         scales.append((d, g))
@@ -131,9 +136,13 @@ def rref(rows, ncols: int | None = None) -> tuple[Matrix, list[int]]:
     return out[::-1], cols
 
 
-def rank(rows, ncols: int | None = None) -> int:
-    """Exact rank of dense or sparse rows."""
-    return len(_echelon(_sparse(rows, ncols)[0])[0])
+def rank(rows, ncols: int | None = None, pivots: set | None = None) -> int:
+    """Exact rank of dense or sparse rows; the echelon's pivot columns are
+    added to ``pivots`` when a set is given."""
+    found = _echelon(_sparse(rows, ncols)[0])[0]
+    if pivots is not None:
+        pivots.update(found)
+    return len(found)
 
 
 def nullspace(rows, ncols: int | None = None) -> Matrix:

@@ -5,15 +5,17 @@ before its sparse integer kernel, unchanged; the bracket, ad and ad on
 multivectors computed from the dense structure constants c[i][j][k], as
 `LieAlgebra` did before it kept their nonzeros; and the Lie kernel and d_P
 as `kernelmap` built them before it read both off the cached CE complex:
-P from the bracket map on lex pairs, d_P one `KForm` at a time.  The tests
-compare the two.
+P from the bracket map on lex pairs, d_P one `KForm` at a time; and the CE
+rows as `CEComplex.d_rows` built them before it kept integer rows of D d_k,
+one `KForm` at a time in `Fraction`s.  The tests compare the two.
 """
 
 from fractions import Fraction
 from math import comb, gcd
 
 from liekernel.cohomology import complex_of
-from liekernel.exterior import KForm, KVector, multi_indices, vector_of, wedge
+from liekernel.exterior import (KForm, KVector, bits_of, multi_indices,
+                                vector_of, wedge)
 from liekernel.kernelmap import DPProperties
 from liekernel.linalg import Subspace, nullspace, transpose
 
@@ -128,23 +130,33 @@ def lie_kernel_space(g):
         transpose(columns) if columns else [], len(pairs)))
 
 
-def _d_dense(g, k):
-    """Dense rows d(e^I) over the lex (k+1)-indices, one KForm at a time."""
+def d_rows(g, k):
+    """Sparse rows {j: coefficient of e_J_j in d(e_I_i)} of d_k, lex indices,
+    each d(e^I) applied one KForm at a time."""
     cx = complex_of(g)
-    order = list(multi_indices(g.n, k + 1))
-    return [cx.d(KForm.from_terms(g.n, {ixs: Fraction(1)}, k)).vector(order)
-            for ixs in multi_indices(g.n, k)]
+    col = {bits_of(ixs)[0]: j
+           for j, ixs in enumerate(multi_indices(g.n, k + 1))}
+    return [{col[b]: c for b, c in cx.d(
+        KForm(g.n, k, {bits_of(ixs)[0]: Fraction(1)})).coeffs.items()}
+        for ixs in multi_indices(g.n, k)]
+
+
+def d_dense(g, k):
+    """Dense rows d(e^I) over the lex (k+1)-indices."""
+    width = comb(g.n, k + 1)
+    return [tuple(r.get(j, Fraction(0)) for j in range(width))
+            for r in d_rows(g, k)]
 
 
 def dP_rows(g):
     """Dense rows of d_P: d of each lex two-form off the pivots of B^2."""
-    _, pivots = rref(_d_dense(g, 1))
-    return [row for c, row in enumerate(_d_dense(g, 2)) if c not in pivots]
+    _, pivots = rref(d_dense(g, 1))
+    return [row for c, row in enumerate(d_dense(g, 2)) if c not in pivots]
 
 
 def dP_properties(g):
     """Rank, injectivity and surjectivity onto Z^3 of d_P, by dense ranks."""
     r = rank(dP_rows(g))
-    dim_pstar = comb(g.n, 2) - len(rref(_d_dense(g, 1))[1])
-    dim_z3 = comb(g.n, 3) - rank(_d_dense(g, 3))
+    dim_pstar = comb(g.n, 2) - len(rref(d_dense(g, 1))[1])
+    dim_z3 = comb(g.n, 3) - rank(d_dense(g, 3))
     return DPProperties(r == dim_pstar, r == dim_z3, r, dim_pstar, dim_z3)

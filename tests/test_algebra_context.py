@@ -1,16 +1,18 @@
 """The per-algebra context: sparse structure constants, one cached complex
 and one cached Lie kernel.
 
-Sparse `bracket`, `ad` and `ad_multivector`, and the Lie kernel, d_P and
-Betti numbers read off the cached complex, are compared against the dense
-constructions in `dense_oracle` on permuted, rescaled direct sums of corpus
-fixtures.  The cached complex and kernel are checked for identity, for not
+Sparse `bracket`, `ad` and `ad_multivector`, the integer CE rows and their
+ranks, and the Lie kernel, d_P and Betti numbers read off the cached complex,
+are compared against the dense constructions in `dense_oracle` on permuted,
+rescaled direct sums of corpus fixtures, also under unimodular changes of
+basis.  The cached complex and kernel are checked for identity, for not
 outliving their algebra, and the complex for being the only one the corpus
 checks build.
 """
 
 import gc
 import weakref
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -18,14 +20,15 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from liekernel import cohomology, parse_algebra
-from liekernel.cohomology import CEComplex, betti, complex_of
+from liekernel.cohomology import CEComplex, betti, ce_differential, complex_of
 from liekernel.corpus import check_algebra
 from liekernel.errors import JacobiError
 from liekernel.exterior import KVector, multi_indices
-from liekernel.families import load_corpus
+from liekernel.families import load_corpus, su3
 from liekernel.kernelmap import (LieKernel, ad_multivector, dP, dP_properties,
-                                 lie_kernel)
+                                 lie_kernel, multimoment_value, pdual)
 from liekernel.liealg import LieAlgebra
+from liekernel.linalg import Subspace, inverse, mat_vec, rank, transpose
 
 from conftest import random_form
 
@@ -50,6 +53,31 @@ def algebras(draw):
     return LieAlgebra([[[g.c[perm[i]][perm[j]][perm[k]] * s[i] * s[j] / s[k]
                          for k in range(n)] for j in range(n)]
                        for i in range(n)])
+
+
+@st.composite
+def unimodular(draw, n):
+    """P = L U with unit triangular L, U of entries in {-1, 0, 1}."""
+    entry = st.sampled_from((-1, 0, 1))
+    lo = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+          for i in range(n)]
+    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    return [[sum(lo[i][m] * up[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def change_basis(g, p):
+    """g in the basis f_a = sum_i p[i][a] e_i."""
+    f, q = transpose(p), inverse(p)
+    return LieAlgebra([[mat_vec(q, g.bracket(u, v)) for v in f] for u in f])
+
+
+def rescaled(g, s):
+    """g in the basis e'_i = s_i e_i."""
+    n = g.n
+    return LieAlgebra([[[g.c[i][j][k] * s[i] * s[j] / s[k] for k in range(n)]
+                        for j in range(n)] for i in range(n)])
 
 
 def vectors(n):
@@ -80,6 +108,62 @@ def test_kernel_dp_and_betti_match_dense_oracle(g):
     report, cx = betti(g), complex_of(g)
     assert [cx.betti_number(k) for k in range(-1, g.n + 2)] == \
         [0, *report.betti, 0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(algebras(), st.data())
+def test_integer_rows_and_ranks_match_kform_oracle(g, data):
+    # the change of basis fills d_k in, and the dense oracle's rank of a
+    # filled-in n = 9 matrix takes seconds
+    if g.n <= 7 and data.draw(st.booleans()):
+        g = change_basis(g, data.draw(unimodular(g.n)))
+    cx = complex_of(g)
+    for k in range(g.n + 1):
+        rows = cx.d_rows(k)
+        assert all(type(v) is int for r in rows for v in r.values())
+        assert rows == [{j: cx.scale * q for j, q in r.items()}
+                        for r in dense_oracle.d_rows(g, k)]
+        assert cx.d_rank(k) == dense_oracle.rank(dense_oracle.d_dense(g, k))
+    assert cx.verify_d_squared()
+
+
+@pytest.mark.parametrize("text", ["(0,21+31,31,2.41+32)", "(-2.23,2.13,-2.12)",
+                                  "(0,0,12,13,23,14+25)", "(0,21,1/2.31,0)"])
+def test_rows_at_lower_pivots_lie_in_the_span_of_the_rest(text):
+    g = parse_algebra(text)
+    cx = complex_of(g)
+    for k in range(1, g.n):
+        pivots = set()
+        lower = rank(cx.d_rows(k - 1), comb(g.n, k), pivots=pivots)
+        assert sorted(pivots) == dense_oracle.rref(
+            dense_oracle.d_dense(g, k - 1))[1]
+        assert len(pivots) == lower == cx.d_rank(k - 1)
+        rows, width = cx.d_rows(k), comb(g.n, k + 1)
+        kept = Subspace(width, [r for i, r in enumerate(rows) if i not in pivots])
+        for i in pivots:
+            assert kept.contains(tuple(rows[i].get(j, 0) for j in range(width)))
+        assert kept.dim == cx.d_rank(k)
+
+
+@pytest.mark.parametrize("g", [
+    parse_algebra("(0,21,1/2.31)"),
+    rescaled(su3().direct_sum(LieAlgebra.abelian(1)),
+             [Fraction(1, 2), 3, 1, Fraction(2, 3), 1, 2, 1, Fraction(1, 3), 1]),
+], ids=["r3_half", "su3+R_rescaled"])
+def test_scaled_readers_return_the_exact_matrix(g, rng):
+    cx = complex_of(g)
+    assert cx.scale > 1
+    for k in range(g.n + 1):
+        assert ce_differential(g, k) == dense_oracle.d_rows(g, k)
+    triples = comb(g.n, 3)
+    assert [tuple(r.get(t, 0) for t in range(triples))
+            for r in lie_kernel(g).dP_rows()] == dense_oracle.dP_rows(g)
+    assert cx.betti_number(2) == 0
+    for _ in range(3):
+        beta = pdual(g, random_form(rng, g.n, 2))
+        psi = dP(g, beta)
+        value = multimoment_value(g, psi)
+        assert value == beta and dP(g, value) == psi
 
 
 def test_one_complex_per_algebra():

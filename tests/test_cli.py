@@ -113,6 +113,10 @@ def test_derivations_and_char_nilpotent(capsys):
         "(0,0,12,13,23,14+25+a.23,16+25+35+a.24)", "--bind", "a=1")
     assert code == 0
     assert payload["result"]["characteristically_nilpotent"] is True
+    for text in ("(0)", "(0,0,12)"):
+        code, payload = run_json(capsys, "derivations", text)
+        assert code == 0
+        assert payload["result"]["characteristically_nilpotent"] is False
 
 
 def test_extend(capsys):

@@ -10,7 +10,8 @@ from liekernel import (CEComplex, LieAlgebra, Subspace, betti,
                        parse_algebra)
 from liekernel.errors import SubspaceError
 from liekernel.families import (FAMILY_NAMES, TABLE_EXCLUDED, TABLE_GRIDS,
-                                FamilySpec, _make_family_unchecked, load_corpus)
+                                FamilySpec, _make_family_unchecked, load_corpus,
+                                su3)
 from liekernel.linalg import rank
 
 
@@ -32,6 +33,15 @@ def test_abelian_betti_binomials():
     for n in range(1, 7):
         rep = betti(LieAlgebra.abelian(n))
         assert rep.betti == tuple(comb(n, k) for k in range(n + 1))
+
+
+def test_su3_plus_su3_betti_is_kunneth():
+    """The top rung of the dimension ladder: n = 16, the supported limit."""
+    b = betti(su3()).betti
+    assert b == (1, 0, 0, 1, 0, 1, 0, 0, 1)
+    square = tuple(sum(b[i] * b[k - i] for i in range(max(0, k - 8), min(k, 8) + 1))
+                   for k in range(17))
+    assert betti(su3().direct_sum(su3())).betti == square
 
 
 def test_differential_ranks():

@@ -154,6 +154,8 @@ def test_characteristically_nilpotent():
     h3 = parse_algebra("(0,0,12)")
     assert h3.is_characteristically_nilpotent() is False
     assert parse_algebra("(0,0,0)").is_characteristically_nilpotent() is False
+    # Der(R) = gl(1) is abelian, hence nilpotent, but the identity is not
+    assert parse_algebra("(0)").is_characteristically_nilpotent() is False
     with pytest.raises(LieKernelError):
         parse_algebra("(0,21)").is_characteristically_nilpotent()
     for alpha in (1, 2):

@@ -8,6 +8,7 @@ against Kunneth products.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -70,6 +71,12 @@ def test_rank_and_rref_match_dense_oracle(m):
     assert rref(sparse_rows(m), width(m)) == expected
     assert rank(m) == dense_oracle.rank(m) == len(expected[1])
     assert rank(sparse_rows(m), width(m)) == len(expected[1])
+    # int rows take the fast path of `_sparse`, and the pivots come back
+    d = lcm(*(x.denominator for row in m for x in row))
+    ints = [{j: int(x * d) for j, x in row.items()} for row in sparse_rows(m)]
+    pivots = set()
+    assert rank(ints, width(m), pivots=pivots) == len(expected[1])
+    assert sorted(pivots) == expected[1]
 
 
 @EXAMPLES
