@@ -10,7 +10,8 @@ the common denominator of the structure constants (`CEComplex.scale`),
 built straight from the scaled constants with bitmask signs.  Ranks, pivots,
 cocycles and coboundaries are the same at any scale, so they read these rows
 as they are; the readers of the matrix itself, `ce_differential` and
-`LieKernel.dP_rows`, divide by D.  Ranks are taken by exact
+`LieKernel.dP_rows`, divide by D.  `CEComplex.d` applies these rows to a
+form's int numerators and divides once per entry.  Ranks are taken by exact
 sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
 rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
 """
@@ -25,7 +26,8 @@ from math import comb
 from .errors import SubspaceError
 from .exterior import KForm, indices_of, multi_indices, wedge_sign
 from .liealg import LieAlgebra
-from .linalg import Subspace, identity, nullspace, rank, transpose, vec
+from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
+                     transpose, vec)
 
 
 def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
@@ -59,7 +61,7 @@ def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) ->
 class CEComplex:
     """CE differential matrices of one algebra, with cached Z^k and B^k.
 
-    The complex keeps only n, de^k and the scaled terms of D de^k, not the
+    The complex keeps only n and the scaled terms of D de^k, not the
     algebra: the algebra caches its complex (`complex_of`), and a reference
     back would make a cycle.
     """
@@ -70,27 +72,35 @@ class CEComplex:
         self._jacobi = validate  # so d o d = 0, which d_rank relies on
         self.n = n = algebra.n
         self.scale, br = algebra.scaled_brackets()
-        # de^m = -sum_{a<b} c^m_ab e_ab: exactly for d, times D for d_rows,
-        # where each term also keeps the bits strictly between a and b
-        d1: list[dict] = [{} for _ in range(n)]
+        # D de^m = -sum_{a<b} D c^m_ab e_ab, each term with the bits
+        # strictly between a and b
         self._terms: list[list] = [[] for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
                 ab, between = (1 << a) | (1 << b), (1 << b) - (2 << a)
-                for m, q in algebra.sc[a][b].items():
-                    d1[m][ab] = -q
-                    self._terms[m].append((ab, between, -br[a][b][m]))
-        self._d1 = [KForm(n, 2, coeffs) for coeffs in d1]
+                for m, q in br[a][b].items():
+                    self._terms[m].append((ab, between, -q))
         self._rows: dict[int, list] = {}
+        self._lex: dict[int, tuple] = {}
         self._rank: dict[int, int] = {}
         self._pivots: dict[int, set] = {}
         self._cocycles: dict[int, Subspace] = {}
         self._coboundaries: dict[int, Subspace] = {}
 
     def d(self, form: KForm) -> KForm:
+        """d of a form with int or Fraction coefficients, by `d_rows`."""
         if form.n != self.n:
             raise SubspaceError("form lives on a different algebra")
-        return extend_as_derivation(self._d1, form, 2)
+        k = form.k
+        scale, nums = clear_denominators(form.coeffs)
+        index, rows = self._lex_tables(k)[1], self.d_rows(k)
+        acc: dict[int, int] = {}
+        for b, v in nums.items():
+            for j, w in rows[index[b]].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out, scale = self._lex_tables(k + 1)[0], scale * self.scale
+        return KForm(self.n, k + 1, {out[j]: Fraction(v, scale)
+                                     for j, v in acc.items() if v})
 
     def d_rows(self, k: int) -> list[dict]:
         """Sparse integer row i = {j: D times the coefficient of e_J_j in
@@ -117,6 +127,14 @@ class CEComplex:
                 rows.append({col[b]: v for b, v in acc.items() if v})
             self._rows[k] = rows
         return self._rows[k]
+
+    def _lex_tables(self, k: int) -> tuple[list[int], dict[int, int]]:
+        """The lex bitmasks of degree k and their positions, for `d`."""
+        if k not in self._lex:
+            lex = [sum(1 << i for i in ixs)
+                   for ixs in combinations(range(self.n), k)]
+            self._lex[k] = lex, {b: i for i, b in enumerate(lex)}
+        return self._lex[k]
 
     def unscale(self, rows: list[dict]) -> list[dict]:
         """Rows of `d_rows` divided by `scale`: entries of d itself."""

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .cohomology import (betti, complex_of, invariant_cohomology_dims,
                          is_23_trivial)
-from .exterior import KForm, KVector, multi_indices, pairing, vector_of, wedge
+from .exterior import KForm, KVector, multi_indices, pairing, wedge
 from .families import CorpusEntry, load_corpus, trivial23_consequences
 from .kernelmap import ad_multivector, dP, lie_kernel
 from .liealg import LieAlgebra
@@ -28,22 +30,33 @@ def _random_form(rng, n: int, k: int) -> KForm:
         for ixs in multi_indices(n, k)}, k)
 
 
-def _random_vector(rng, n: int):
-    return tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+def _integral_triple(rng, n: int, basis: list[dict]):
+    """6 alpha, z and L p in ints, for the rational alpha (`_random_form`),
+    z and p in P that the same draws give; `basis` is the kernel basis
+    times L, the lcm of its denominators."""
+    alpha = {(1 << i) | (1 << j): rng.randint(-4, 4) * (6 // rng.randint(1, 3))
+             for i, j in combinations(range(n), 2)}
+    z = tuple(rng.randint(-3, 3) for _ in range(n))
+    p: dict[int, int] = {}
+    for row in basis:
+        r = rng.randint(-2, 2)
+        for bits, c in row.items():
+            p[bits] = p.get(bits, 0) + r * c
+    return KForm(n, 2, alpha), z, KVector(n, 2, p)
 
 
 def adjoint_identity_holds(g: LieAlgebra, rng, triples: int) -> bool:
-    """<dP alpha, Z ^ p> = -<alpha, ad_Z p> on random rational data."""
+    """<dP alpha, Z ^ p> = -<alpha, ad_Z p> on random rational data, both
+    sides times 6 L, as they are linear in alpha and p (`_integral_triple`).
+    """
     basis = lie_kernel(g).basis()
-    if not basis:
-        return True
-    for _ in range(triples):
-        alpha = _random_form(rng, g.n, 2)
-        z = _random_vector(rng, g.n)
-        p = KVector.zero(g.n, 2)
-        for b in basis:
-            p = p + b * Fraction(rng.randint(-2, 2))
-        lhs = pairing(dP(g, alpha), wedge(vector_of(g.n, z), p))
+    scale = lcm(*(q.denominator for b in basis for q in b.coeffs.values()))
+    basis = [{bits: q.numerator * (scale // q.denominator)
+              for bits, q in b.coeffs.items()} for b in basis]
+    for _ in range(triples if basis else 0):
+        alpha, z, p = _integral_triple(rng, g.n, basis)
+        zp = wedge(KVector(g.n, 1, {1 << i: c for i, c in enumerate(z)}), p)
+        lhs = pairing(dP(g, alpha), zp)
         rhs = -pairing(alpha, ad_multivector(g, z, p))
         if lhs != rhs:
             return False

@@ -7,20 +7,25 @@ the annihilator of B^2 = d(g*).  Its dual P* = Lambda^2 g* / B^2 is realised
 on the slice of lex two-forms off the echelon pivots of B^2; elements are
 stored through the canonical coset representative obtained by reducing
 against that echelon basis, which makes equality decidable and output
-stable.  The matrix of d_P is the rows of d_2 at the slice.
+stable.  The matrix of d_P is the rows of d_2 at the slice, and `dP` is
+`CEComplex.d`, which applies the integer rows.  `ad_multivector` reads the
+scaled brackets D c instead, so <d_P alpha, Z ^ p> = -<alpha, ad_Z p>
+checks one against the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
-from .cohomology import complex_of, extend_as_derivation
+from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
-from .exterior import (KForm, KVector, interior, multi_indices, pairing,
-                       vector_of)
+from .exterior import (KForm, KVector, indices_of, interior, multi_indices,
+                       pairing, vector_of)
 from .liealg import LieAlgebra
-from .linalg import Subspace, identity, nullspace, rank, solve, transpose
+from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
+                     solve, transpose)
 
 
 class LieKernel:
@@ -94,19 +99,46 @@ def pdual(g: LieAlgebra, form: KForm) -> PDualElement:
     return PDualElement(g, lie_kernel(g).canonical_rep(form))
 
 
+def _two_form(g: LieAlgebra, beta) -> KForm:
+    """beta, a two-form on g or an element of P* of g, as a two-form."""
+    if isinstance(beta, PDualElement) and beta.algebra is g:
+        beta = beta.rep
+    if not isinstance(beta, KForm) or beta.n != g.n or beta.k != 2:
+        raise DimensionMismatch("beta must be a two-form on g or in its P*")
+    return beta
+
+
 def dP(g: LieAlgebra, beta) -> KForm:
     """d of any coset representative; representative-independent by d^2=0."""
-    form = beta.rep if isinstance(beta, PDualElement) else beta
-    if form.n != g.n or form.k != 2:
-        raise DimensionMismatch("dP needs a two-form")
-    return complex_of(g).d(form)
+    return complex_of(g).d(_two_form(g, beta))
 
 
 def ad_multivector(g: LieAlgebra, z, p: KVector) -> KVector:
-    """ad_z extended to multivectors as a derivation."""
-    images = [KVector(g.n, 1, {1 << k: q for k, q in col.items()})
-              for col in g.ad_columns(z)]
-    return extend_as_derivation(images, p, 1)
+    """ad_z extended to multivectors as a derivation, for z with int or
+    Fraction coordinates: the derivation rule runs on the int numerators of
+    p and of the columns of `g.scaled_ad_columns(z)`."""
+    if not isinstance(p, KVector) or p.n != g.n:
+        raise DimensionMismatch("ad_multivector needs a multivector on g")
+    scale, cols = g.scaled_ad_columns(z)
+    cols = [[(1 << m, v) for m, v in col.items() if v] for col in cols]
+    lp, nums = clear_denominators(p.coeffs)
+    acc: dict[int, int] = {}
+    for bits, c in nums.items():
+        for i in indices_of(bits):
+            e_i = 1 << (i - 1)
+            rest = bits ^ e_i
+            below = (rest & (e_i - 1)).bit_count()
+            # (-1)^(#rest below i) moves [z, e_i] to the front, and then
+            # e_m ^ e_rest = (-1)^(#rest below m) e_{m, rest}
+            for bit, v in cols[i - 1]:
+                if bit & rest:
+                    continue
+                if (below + (rest & (bit - 1)).bit_count()) & 1:
+                    v = -v
+                acc[bit | rest] = acc.get(bit | rest, 0) + c * v
+    scale *= lp
+    return KVector(g.n, p.k, {b: Fraction(v, scale)
+                              for b, v in acc.items() if v})
 
 
 @dataclass(frozen=True)
@@ -159,7 +191,7 @@ def multimoment_value(g: LieAlgebra, psi: KForm) -> PDualElement:
 
 def stabilizer(g: LieAlgebra, beta) -> Subspace:
     """{Z in g : <beta, ad_Z p> = 0 for all p in P}."""
-    form = beta.rep if isinstance(beta, PDualElement) else beta
+    form = _two_form(g, beta)
     rows = [tuple(pairing(form, ad_multivector(g, unit, p))
                   for unit in identity(g.n))
             for p in lie_kernel(g).basis()]

@@ -2,11 +2,11 @@
 
 Structure constants are kept dense as the public c[i][j][k] =
 coefficient of e_k in [e_i, e_j], all Fractions, for callers that index
-them, and as their nonzeros, sc[i][j] = {k: c^k_ij}, which bracket, ad,
-Jacobi validation and the CE complex iterate over.  Most constants of a
-real algebra are zero.  `scaled_brackets` keeps those nonzeros once more,
-times their common denominator D, as integers, for the Jacobi test and the
-integer CE rows.
+them, and as their nonzeros, sc[i][j] = {k: c^k_ij}, which bracket and the
+antisymmetry check iterate over.  Most constants of a real algebra are
+zero.  `scaled_brackets` keeps those nonzeros once more, times their common
+denominator D, as integers, for the Jacobi test, the integer CE rows and
+the integer columns of ad.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
-from .linalg import Subspace, identity, nullspace, vec
+from .linalg import Subspace, clear_denominators, identity, nullspace, vec
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -28,9 +28,7 @@ class LieAlgebra:
         if n > 16:
             raise LieKernelError(f"dimension {n} above the supported 16")
         self.n = n
-        self.c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
-        )
+        self.c = tuple(tuple(vec(row) for row in plane) for plane in c)
         if any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
             raise DimensionMismatch("structure constants are not n x n x n")
         self.sc = tuple(tuple({k: q for k, q in enumerate(row) if q}
@@ -68,10 +66,12 @@ class LieAlgebra:
         return cls(c, name=name, _validate=validate)
 
     def _check_antisymmetry(self):
+        # c^k_ij = -c^k_ji can only fail where one side is nonzero
         for i in range(self.n):
             for j in range(i, self.n):
-                for k in range(self.n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
+                ij, ji = self.sc[i][j], self.sc[j][i]
+                for k in sorted(ij.keys() | ji.keys()):
+                    if ij.get(k, 0) != -ji.get(k, 0):
                         raise JacobiError(
                             f"antisymmetry fails at c^{k+1}_{{{i+1},{j+1}}}")
 
@@ -131,28 +131,27 @@ class LieAlgebra:
                     out[k] += f * q
         return tuple(out)
 
-    def ad_columns(self, x) -> list[dict[int, Fraction]]:
-        """[x, e_j] for each j, as {k: nonzero coefficient of e_k}."""
-        x = vec(x)
+    def scaled_ad_columns(self, x) -> tuple[int, list[dict[int, int]]]:
+        """(E, cols) with cols[j] = {k: E times the coefficient of e_k in
+        [x, e_j]} in integers, E = D L for x with int or Fraction
+        coordinates of common denominator L."""
+        x = tuple(x)
         if len(x) != self.n:
             raise DimensionMismatch("vector outside the algebra")
-        cols: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for col, comps in zip(cols, self.sc[i]):
+        d, br = self.scaled_brackets()
+        l, x = clear_denominators(dict(enumerate(x)))
+        cols: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for i, xi in x.items():
+            for col, comps in zip(cols, br[i]):
                 for k, q in comps.items():
-                    w = col.get(k, _ZERO) + xi * q
-                    if w:
-                        col[k] = w
-                    else:
-                        del col[k]
-        return cols
+                    col[k] = col.get(k, 0) + xi * q
+        return d * l, cols
 
     def ad(self, x) -> list[Vector]:
         """Matrix of ad_x, rows indexed by output component."""
-        cols = self.ad_columns(x)
-        return [tuple(col.get(k, _ZERO) for col in cols) for k in range(self.n)]
+        e, cols = self.scaled_ad_columns(vec(x))
+        return [tuple(Fraction(col.get(k, 0), e) for col in cols)
+                for k in range(self.n)]
 
     # -- ideals and series ---------------------------------------------------
 

@@ -43,6 +43,13 @@ def identity(n: int) -> Matrix:
     return [unit(n, i) for i in range(n)]
 
 
+def clear_denominators(entries: dict) -> tuple[int, dict]:
+    """(L, {key: L q}) for int or Fraction values q, L the lcm of their
+    denominators, so the new values are ints."""
+    d = lcm(*(q.denominator for q in entries.values()))
+    return d, {c: q.numerator * (d // q.denominator) for c, q in entries.items()}
+
+
 def _sparse(rows, ncols: int | None = None):
     """Primitive integer dict rows, (d, g) with row_i = (d/g) input_i, ncols."""
     out, scales = [], []
@@ -59,10 +66,8 @@ def _sparse(rows, ncols: int | None = None):
         if all(type(x) is int for x in ints.values()):
             d = 1
         else:
-            fr = {c: q for c, x in ints.items() if (q := Fraction(x))}
-            d = lcm(*(q.denominator for q in fr.values()))
-            ints = {c: q.numerator * (d // q.denominator)
-                    for c, q in fr.items()}
+            d, ints = clear_denominators(
+                {c: q for c, x in ints.items() if (q := Fraction(x))})
         g = gcd(*ints.values()) or 1
         out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
         scales.append((d, g))

@@ -5,15 +5,17 @@ before its sparse integer kernel, unchanged; the bracket, ad and ad on
 multivectors computed from the dense structure constants c[i][j][k], as
 `LieAlgebra` did before it kept their nonzeros; and the Lie kernel and d_P
 as `kernelmap` built them before it read both off the cached CE complex:
-P from the bracket map on lex pairs, d_P one `KForm` at a time; and the CE
-rows as `CEComplex.d_rows` built them before it kept integer rows of D d_k,
-one `KForm` at a time in `Fraction`s.  The tests compare the two.
+P from the bracket map on lex pairs, d_P one `KForm` at a time; the CE
+differential d as `CEComplex.d` applied it before it read the integer rows
+of D d_k: de^m = -sum_{a<b} c^m_ab e_ab from the dense constants, extended
+as an antiderivation in `Fraction`s; and the CE rows built from that d, one
+`KForm` at a time.  The tests compare the two.
 """
 
 from fractions import Fraction
 from math import comb, gcd
 
-from liekernel.cohomology import complex_of
+from liekernel.cohomology import extend_as_derivation
 from liekernel.exterior import (KForm, KVector, bits_of, multi_indices,
                                 vector_of, wedge)
 from liekernel.kernelmap import DPProperties
@@ -130,14 +132,27 @@ def lie_kernel_space(g):
         transpose(columns) if columns else [], len(pairs)))
 
 
+def _d_one_forms(g):
+    """de^m = -sum_{a<b} c^m_ab e_ab for each m, from the dense c."""
+    n = g.n
+    return [KForm(n, 2, {(1 << a) | (1 << b): -g.c[a][b][m]
+                         for a in range(n) for b in range(a + 1, n)})
+            for m in range(n)]
+
+
+def d(g, form):
+    """The CE differential of a form, by the antiderivation rule."""
+    return extend_as_derivation(_d_one_forms(g), form, 2)
+
+
 def d_rows(g, k):
     """Sparse rows {j: coefficient of e_J_j in d(e_I_i)} of d_k, lex indices,
     each d(e^I) applied one KForm at a time."""
-    cx = complex_of(g)
+    d1 = _d_one_forms(g)
     col = {bits_of(ixs)[0]: j
            for j, ixs in enumerate(multi_indices(g.n, k + 1))}
-    return [{col[b]: c for b, c in cx.d(
-        KForm(g.n, k, {bits_of(ixs)[0]: Fraction(1)})).coeffs.items()}
+    return [{col[b]: c for b, c in extend_as_derivation(
+        d1, KForm(g.n, k, {bits_of(ixs)[0]: Fraction(1)}), 2).coeffs.items()}
         for ixs in multi_indices(g.n, k)]
 
 

@@ -2,12 +2,12 @@
 and one cached Lie kernel.
 
 Sparse `bracket`, `ad` and `ad_multivector`, the integer CE rows and their
-ranks, and the Lie kernel, d_P and Betti numbers read off the cached complex,
-are compared against the dense constructions in `dense_oracle` on permuted,
-rescaled direct sums of corpus fixtures, also under unimodular changes of
-basis.  The cached complex and kernel are checked for identity, for not
-outliving their algebra, and the complex for being the only one the corpus
-checks build.
+ranks, `CEComplex.d` on those rows, and the Lie kernel, d_P and Betti
+numbers read off the cached complex, are compared against the dense
+constructions in `dense_oracle` on permuted, rescaled direct sums of corpus
+fixtures, also under unimodular changes of basis.  The cached complex and
+kernel are checked for identity, for not outliving their algebra, and the
+complex for being the only one the corpus checks build.
 """
 
 import gc
@@ -23,7 +23,7 @@ from liekernel import cohomology, parse_algebra
 from liekernel.cohomology import CEComplex, betti, ce_differential, complex_of
 from liekernel.corpus import check_algebra
 from liekernel.errors import JacobiError
-from liekernel.exterior import KVector, multi_indices
+from liekernel.exterior import KForm, KVector, multi_indices
 from liekernel.families import load_corpus, su3
 from liekernel.kernelmap import (LieKernel, ad_multivector, dP, dP_properties,
                                  lie_kernel, multimoment_value, pdual)
@@ -35,6 +35,9 @@ from conftest import random_form
 FIXTURES = {e.name: e.algebra for e in load_corpus() if e.algebra.n <= 4}
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 NONZERO = SMALL.filter(bool)
+# every value a Fraction with denominator 2 to 5
+PROPER = st.builds(lambda a, b: a + Fraction(1, b), st.integers(-3, 3),
+                   st.integers(2, 5))
 
 
 @st.composite
@@ -125,6 +128,27 @@ def test_integer_rows_and_ranks_match_kform_oracle(g, data):
                         for r in dense_oracle.d_rows(g, k)]
         assert cx.d_rank(k) == dense_oracle.rank(dense_oracle.d_dense(g, k))
     assert cx.verify_d_squared()
+
+
+@settings(max_examples=20, deadline=None)
+@given(algebras(), st.data())
+def test_integer_d_and_ad_multivector_match_the_dense_oracle(g, data):
+    if g.n <= 7 and data.draw(st.booleans()):
+        g = change_basis(g, data.draw(unimodular(g.n)))
+    cx = complex_of(g)
+    ints = st.integers(-4, 4)
+    for k in range(g.n + 1):
+        for coeffs in (PROPER, ints):
+            f = KForm.from_terms(g.n, {ixs: data.draw(coeffs)
+                                       for ixs in multi_indices(g.n, k)}, k)
+            assert cx.d(f) == dense_oracle.d(g, f)
+    z = tuple(data.draw(PROPER) for _ in range(g.n))
+    for k in range(1, min(g.n, 3) + 1):
+        for coeffs in (PROPER, ints):
+            p = KVector.from_terms(g.n, {
+                ixs: data.draw(coeffs) for ixs in multi_indices(g.n, k)}, k)
+            assert ad_multivector(g, z, p) == \
+                dense_oracle.ad_multivector(g.c, z, p)
 
 
 @pytest.mark.parametrize("text", ["(0,21+31,31,2.41+32)", "(-2.23,2.13,-2.12)",

@@ -8,7 +8,7 @@ from liekernel import (CEComplex, KVector, LieAlgebra, Subspace, basis_form,
                        lie_kernel, multimoment_value, orbit_2plectic_check,
                        pairing, parse_algebra, pdual, stabilizer, vector_of,
                        wedge)
-from liekernel.errors import MomentMapError
+from liekernel.errors import DimensionMismatch, MomentMapError
 from liekernel.families import SU3_BASIS_NAMES, su2, su3, u2
 from liekernel.kernelmap import ad_multivector
 
@@ -244,3 +244,17 @@ def test_kernel_dim_grows_by_dim_h_under_central_line():
         h = parse_algebra(text)
         extended = LieAlgebra.abelian(1).direct_sum(h)
         assert lie_kernel(extended).dim == lie_kernel(h).dim + h.n
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, h: ad_multivector(g, (1, 0, 0), KVector.from_terms(4, {(1, 4): 1})),
+    lambda g, h: ad_multivector(g, (1, 0, 0), basis_form(3, 1, 2)),
+    lambda g, h: ad_multivector(g, (1, 0), KVector.from_terms(3, {(1, 3): 1})),
+    lambda g, h: dP(g, pdual(h, basis_form(3, 1, 3))),
+    lambda g, h: stabilizer(g, pdual(h, basis_form(3, 1, 3))),
+], ids=["ad_p_on_wider_space", "ad_p_a_form", "ad_z_too_short",
+        "dP_of_other_algebra", "stabilizer_of_other_algebra"])
+def test_inputs_from_other_spaces_raise_dimension_mismatch(call):
+    g, h = parse_algebra("(0,0,12)"), parse_algebra("(0,21,1/2.31)")
+    with pytest.raises(DimensionMismatch):
+        call(g, h)

@@ -41,6 +41,31 @@ def test_antisymmetry_enforced():
         LieAlgebra(c)
 
 
+def test_antisymmetry_witness_is_first_failing_entry(rng):
+    # the check runs over the nonzeros only; the witness is still the first
+    # failing (i <= j, k) of the dense scan
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            k = rng.randrange(n)
+            c[i][j][k] = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            c[j][i][k] = -c[i][j][k]
+        for _ in range(rng.randint(1, 3)):
+            c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = 1
+        first = next(((i, j, k) for i in range(n) for j in range(i, n)
+                      for k in range(n) if c[i][j][k] != -c[j][i][k]), None)
+        if first is None:
+            assert all(type(x) is Fraction
+                       for plane in LieAlgebra.unchecked(c).c
+                       for row in plane for x in row)
+            continue
+        i, j, k = first
+        with pytest.raises(JacobiError,
+                           match=rf"^antisymmetry fails at c\^{k+1}_\{{{i+1},{j+1}\}}$"):
+            LieAlgebra.unchecked(c)
+
+
 def test_jacobi_witness_is_first_failing_triple(rng):
     for _ in range(40):
         n = rng.randint(3, 5)
