@@ -285,7 +285,7 @@ def pairing(form: KForm, mv: KVector):
     """Duality pairing <form, multivector> of equal degrees."""
     if form.n != mv.n or form.k != mv.k:
         raise DimensionMismatch("pairing needs equal spaces and degrees")
-    total = Fraction(0)
+    total = 0  # stays int when both sides are
     for bits, c in form.coeffs.items():
         q = mv.coeffs.get(bits)
         if q is not None:

@@ -1,10 +1,11 @@
 """Classification-table families, graded extensions, and fixture algebras.
 
-Family constructors reproduce the three- and four-dimensional tables with
-their side constraints enforced exactly; parameter values are substituted
-numerically before parsing so the tuple grammar never needs coefficient
-arithmetic.  Also houses the su(2), su(3), u(2) fixtures with integer
-structure constants and the shipped fixture corpus.
+The three- and four-dimensional tables are one table of parametric tuples,
+bound through the parser exactly as ``--bind`` binds them, with their side
+constraints enforced exactly.  d4pl's 2λ is bound as a second name, l2,
+because the grammar gives a parameter only a sign.  Also houses the su(2),
+su(3), u(2) fixtures with integer structure constants and the shipped
+fixture corpus.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 import math
 
 from .cohomology import complex_of, is_23_trivial
@@ -21,56 +23,8 @@ from .parser import (instantiate, load_lie_file, parse_algebra, parse_lie_text,
                      serialize)
 
 
-def _fmt(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
-def _coef(q: Fraction, idx: str) -> str:
-    q = Fraction(q)
-    if q == 1:
-        return idx
-    if q == -1:
-        return f"-{idx}"
-    return f"{_fmt(q)}.{idx}"
-
-
-def _sum(*parts: str) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
-
-
 def _adm_interval(x: Fraction) -> bool:
     return Fraction(-1) < x <= 1 and x != 0
-
-
-def _family_text(name: str, p: dict) -> str:
-    l = p.get("l")
-    m = p.get("m")
-    if name == "r3":
-        return "(0,21+31,31)"
-    if name == "r3l":
-        return f"(0,21,{_coef(l, '31')})"
-    if name == "r3pl":
-        return f"(0,{_sum(_coef(l, '21'), '31')},{_sum('-21', _coef(l, '31'))})"
-    if name == "r4":
-        return "(0,21+31,31+41,41)"
-    if name == "r4l":
-        return f"(0,21,{_sum(_coef(l, '31'), '41')},{_coef(l, '41')})"
-    if name == "r4ml":
-        return f"(0,21,{_coef(m, '31')},{_coef(l, '41')})"
-    if name == "r4pml":
-        return (f"(0,{_coef(m, '21')},{_sum(_coef(l, '31'), '41')},"
-                f"{_sum('-31', _coef(l, '41'))})")
-    if name == "d4l":
-        return f"(0,{_coef(l, '21')},{_coef(1 - l, '31')},41+32)"
-    if name == "d4pl":
-        return (f"(0,{_sum(_coef(l, '21'), '31')},{_sum('-21', _coef(l, '31'))},"
-                f"{_sum(_coef(2 * l, '41'), '32')})")
-    if name == "h4":
-        return "(0,21+31,31,2.41+32)"
-    raise AdmissibilityError(f"unknown family {name!r}")
 
 
 def _admissibility(name: str, p: dict) -> str | None:
@@ -109,14 +63,21 @@ def _admissibility(name: str, p: dict) -> str | None:
     raise AdmissibilityError(f"unknown family {name!r}")
 
 
-FAMILY_NAMES = ("r3", "r3l", "r3pl", "r4", "r4l", "r4ml", "r4pml",
-                "d4l", "d4pl", "h4")
-
-_FAMILY_PARAMS = {
-    "r3": (), "r4": (), "h4": (),
-    "r3l": ("l",), "r3pl": ("l",), "r4l": ("l",), "d4l": ("l",), "d4pl": ("l",),
-    "r4ml": ("m", "l"), "r4pml": ("m", "l"),
+# name -> (parameters, tuple); l2 is bound to 2 l
+_FAMILIES = {
+    "r3": ((), "(0,21+31,31)"),
+    "r3l": (("l",), "(0,21,l.31)"),
+    "r3pl": (("l",), "(0,l.21+31,-21+l.31)"),
+    "r4": ((), "(0,21+31,31+41,41)"),
+    "r4l": (("l",), "(0,21,l.31+41,l.41)"),
+    "r4ml": (("m", "l"), "(0,21,m.31,l.41)"),
+    "r4pml": (("m", "l"), "(0,m.21,l.31+41,-31+l.41)"),
+    "d4l": (("l",), "(0,l.21,31-l.31,41+32)"),
+    "d4pl": (("l",), "(0,l.21+31,-21+l.31,l2.41+32)"),
+    "h4": ((), "(0,21+31,31,2.41+32)"),
 }
+
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -128,7 +89,7 @@ class FamilySpec:
     def of(cls, family: str, **params) -> "FamilySpec":
         if family not in FAMILY_NAMES:
             raise AdmissibilityError(f"unknown family {family!r}")
-        want = _FAMILY_PARAMS[family]
+        want = _FAMILIES[family][0]
         if set(params) != set(want):
             raise AdmissibilityError(
                 f"{family} expects parameters {want}, got {tuple(params)}")
@@ -159,8 +120,10 @@ def make_family(family, **params) -> LieAlgebra:
 
 def _make_family_unchecked(spec: FamilySpec) -> LieAlgebra:
     """Instantiate at possibly-excluded parameters (Jacobi still holds)."""
-    text = _family_text(spec.family, spec.bindings)
-    return parse_algebra(text, name=spec.label())
+    bindings = spec.bindings
+    if "l" in bindings:
+        bindings["l2"] = 2 * bindings["l"]
+    return parse_algebra(_FAMILIES[spec.family][1], bindings, name=spec.label())
 
 
 def trivial23_consequences(g: LieAlgebra) -> dict:
@@ -178,24 +141,18 @@ def trivial23_consequences(g: LieAlgebra) -> dict:
 
 def has_basis_aligned_split(g: LieAlgebra) -> bool:
     """Is g a direct sum along some splitting of the chosen basis?"""
-    n = g.n
-    for mask in range(1, (1 << n) - 1):
-        left = [i for i in range(n) if mask >> i & 1]
-        right = [i for i in range(n) if not mask >> i & 1]
-        ok = True
-        for i in left:
-            for j in right:
-                if any(g.c[i][j][k] for k in range(n)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all(not g.c[i][j][k] for i in left for j in left for k in right) and \
-           all(not g.c[i][j][k] for i in right for j in right for k in left):
-            return True
-    return False
+    part = list(range(g.n))  # union-find: c^k_ij != 0 joins i, j and k
+
+    def root(i: int) -> int:
+        while part[i] != i:
+            part[i] = part[part[i]]
+            i = part[i]
+        return i
+
+    for (i, j), comps in g.brackets().items():
+        for k in (j, *comps):
+            part[root(k - 1)] = root(i - 1)
+    return len({root(i) for i in range(g.n)}) > 1
 
 
 # deterministic grids for table verification (kept rational and small)
@@ -288,14 +245,12 @@ class GradedNilpotent:
             raise LieKernelError("weights must be positive integers")
         if not g.is_nilpotent():
             raise LieKernelError("grading requires a nilpotent algebra")
-        for i in range(g.n):
-            for j in range(g.n):
-                target = self.weights[i] + self.weights[j]
-                for k in range(g.n):
-                    if g.c[i][j][k] and self.weights[k] != target:
-                        raise LieKernelError(
-                            f"[k_{self.weights[i]}, k_{self.weights[j]}] leaks "
-                            f"outside layer {target}")
+        for (i, j), comps in g.brackets().items():
+            target = self.weights[i - 1] + self.weights[j - 1]
+            if any(self.weights[k - 1] != target for k in comps):
+                raise LieKernelError(
+                    f"[k_{self.weights[i - 1]}, k_{self.weights[j - 1]}] leaks "
+                    f"outside layer {target}")
 
 
 def graded_extension(graded: GradedNilpotent, name: str | None = None) -> LieAlgebra:
@@ -305,16 +260,12 @@ def graded_extension(graded: GradedNilpotent, name: str | None = None) -> LieAlg
     asserted on the way out.
     """
     k = graded.algebra
-    n = k.n + 1
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(k.n):
-        for j in range(k.n):
-            for m in range(k.n):
-                c[i + 1][j + 1][m + 1] = k.c[i][j][m]
-    for j, w in enumerate(graded.weights):
-        c[0][j + 1][j + 1] = Fraction(w)
-        c[j + 1][0][j + 1] = Fraction(-w)
-    out = LieAlgebra(c, name=name or (f"ext({k.name})" if k.name else None))
+    brackets = {(i + 1, j + 1): {m + 1: q for m, q in comps.items()}
+                for (i, j), comps in k.brackets().items()}
+    for j, w in enumerate(graded.weights, 2):
+        brackets[1, j] = {j: w}
+    out = LieAlgebra.from_brackets(
+        k.n + 1, brackets, name=name or (f"ext({k.name})" if k.name else None))
     if not is_23_trivial(out):
         raise LieKernelError("graded extension failed to be (2,3)-trivial")
     return out
@@ -429,15 +380,11 @@ def _su3_coordinates(x):
 def su3() -> LieAlgebra:
     """su(3) in the real basis A_j, B_kl, C_kl; integer structure constants."""
     basis = _su3_matrices()
-    n = 8
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = _su3_coordinates(_complex_commutator(basis[i], basis[j]))
-            for k, q in enumerate(coords):
-                c[i][j][k] = Fraction(q)
-                c[j][i][k] = Fraction(-q)
-    return LieAlgebra(c, name="su3")
+    brackets = {}
+    for (i, x), (j, y) in combinations(enumerate(basis, 1), 2):
+        coords = _su3_coordinates(_complex_commutator(x, y))
+        brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
+    return LieAlgebra.from_brackets(8, brackets, name="su3")
 
 
 def su2() -> LieAlgebra:

@@ -1,10 +1,16 @@
 """Lie algebra structure: bracket, series, derivations, direct sums.
 
-Structure constants are kept dense as the public c[i][j][k] =
-coefficient of e_k in [e_i, e_j], all Fractions, for callers that index
-them, and as their nonzeros, sc[i][j] = {k: c^k_ij}, which bracket and the
-antisymmetry check iterate over.  Most constants of a real algebra are
-zero.  `scaled_brackets` keeps those nonzeros once more, times their common
+Every constructor in the package goes through `LieAlgebra.from_brackets`,
+which takes the nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j
+and sets each constant once, as q at (i, j, k) and -q at (j, i, k);
+`LieAlgebra(c)` still takes a dense tensor from callers that build one.
+The constants are
+kept dense as the public c[i][j][k] = coefficient of e_k in [e_i, e_j], all
+Fractions, for callers that index them, and as their nonzeros, sc[i][j] =
+{k: c^k_ij}, which bracket and the antisymmetry check iterate over; most
+constants of a real algebra are zero.  `brackets` hands the nonzeros back
+in the form `from_brackets` takes, for the readers that scan every
+constant.  `scaled_brackets` keeps them once more, times their common
 denominator D, as integers, for the Jacobi test, the integer CE rows and
 the integer columns of ad.
 """
@@ -49,21 +55,31 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, n: int, name: str | None = None) -> "LieAlgebra":
-        z = Fraction(0)
-        return cls([[[z] * n for _ in range(n)] for _ in range(n)], name=name)
+        return cls.from_brackets(n, {}, name=name)
 
     @classmethod
     def from_brackets(cls, n: int, brackets: dict, name: str | None = None,
                       validate: bool = True) -> "LieAlgebra":
         """brackets maps 1-based (i, j) with i<j to {k: coeff} for [e_i,e_j]."""
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
         for (i, j), comps in brackets.items():
             if not 1 <= i < j <= n:
                 raise DimensionMismatch(f"bad bracket key {(i, j)}")
             for k, q in comps.items():
-                c[i - 1][j - 1][k - 1] += Fraction(q)
-                c[j - 1][i - 1][k - 1] -= Fraction(q)
+                if not 1 <= k <= n:
+                    raise DimensionMismatch(
+                        f"bracket component e{k} of {(i, j)} outside 1..{n}")
+                q = q if type(q) is Fraction else Fraction(q)
+                c[i - 1][j - 1][k - 1] = q
+                c[j - 1][i - 1][k - 1] = -q
         return cls(c, name=name, _validate=validate)
+
+    def brackets(self) -> dict:
+        """The nonzero brackets in the form `from_brackets` takes: 1-based
+        (i, j) with i<j to {k: c^k_ij}, in lex order of (i, j)."""
+        return {(i + 1, j + 1): {k + 1: q for k, q in row.items()}
+                for i, plane in enumerate(self.sc)
+                for j, row in enumerate(plane) if i < j and row}
 
     def _check_antisymmetry(self):
         # c^k_ij = -c^k_ji can only fail where one side is nonzero
@@ -195,26 +211,21 @@ class LieAlgebra:
     def is_unimodular(self) -> bool:
         """tr(ad_x) = 0 for every x."""
         self.validate()
-        for i in range(self.n):
-            if sum((self.c[i][j][j] for j in range(self.n)), Fraction(0)) != 0:
-                return False
-        return True
+        trace = [_ZERO] * (self.n + 1)
+        for (i, j), comps in self.brackets().items():
+            trace[i] += comps.get(j, 0)  # c^j_ij, and c^i_ji = -c^i_ij
+            trace[j] -= comps.get(i, 0)
+        return not any(trace)
 
     # -- constructions ---------------------------------------------------------
 
     def direct_sum(self, other: "LieAlgebra", name: str | None = None) -> "LieAlgebra":
-        n, m = self.n, other.n
-        total = n + m
-        c = [[[Fraction(0)] * total for _ in range(total)] for _ in range(total)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c[i][j][k] = self.c[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    c[n + i][n + j][n + k] = other.c[i][j][k]
-        out = LieAlgebra(c, name=name, _validate=False)
+        n = self.n
+        brackets = self.brackets()
+        for (i, j), comps in other.brackets().items():
+            brackets[i + n, j + n] = {k + n: q for k, q in comps.items()}
+        out = LieAlgebra.from_brackets(n + other.n, brackets, name=name,
+                                       validate=False)
         out._validated = self._validated and other._validated
         return out
 
@@ -222,17 +233,14 @@ class LieAlgebra:
         """Structure constants in the echelon basis of a closed subspace."""
         if space.ambient != self.n:
             raise DimensionMismatch("subspace of a different algebra")
-        m = space.dim
-        c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-        for i, u in enumerate(space.basis):
-            for j, v in enumerate(space.basis):
-                w = self.bracket(u, v)
-                coords = space.coordinates(w)
-                if coords is None:
-                    raise SubspaceError("subspace is not closed under the bracket")
-                for k, q in enumerate(coords):
-                    c[i][j][k] = q
-        sub = LieAlgebra(c, name=name, _validate=False)
+        brackets = {}
+        for (i, u), (j, v) in combinations(enumerate(space.basis, 1), 2):
+            coords = space.coordinates(self.bracket(u, v))
+            if coords is None:
+                raise SubspaceError("subspace is not closed under the bracket")
+            brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
+        sub = LieAlgebra.from_brackets(space.dim, brackets, name=name,
+                                       validate=False)
         sub._validated = self._validated
         return sub
 
@@ -320,19 +328,15 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
     span = Subspace(n * n, flat)
     if span.dim != len(matrices):
         raise LieKernelError("matrix basis is linearly dependent")
-    m = len(matrices)
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = matrix_commutator(matrices[i], matrices[j])
-            coords = span.coordinates(
-                tuple(comm[a][b] for a in range(n) for b in range(n)))
-            if coords is None:
-                raise SubspaceError("matrix span not closed under commutator")
-            for k, q in enumerate(coords):
-                c[i][j][k] = q
-                c[j][i][k] = -q
-    return LieAlgebra(c, name=name)
+    brackets = {}
+    for (i, a), (j, b) in combinations(enumerate(matrices, 1), 2):
+        comm = matrix_commutator(a, b)
+        coords = span.coordinates(
+            tuple(comm[r][s] for r in range(n) for s in range(n)))
+        if coords is None:
+            raise SubspaceError("matrix span not closed under commutator")
+        brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
+    return LieAlgebra.from_brackets(len(matrices), brackets, name=name)
 
 
 def is_nilpotent_matrix(m) -> bool:

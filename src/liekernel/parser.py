@@ -208,15 +208,18 @@ def instantiate(expr: AlgebraExpr, bindings: dict | None = None,
     missing = expr.parameters - set(bindings)
     if missing:
         raise BindingError(f"unbound parameters: {sorted(missing)}")
-    n = expr.n
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for k, terms in enumerate(expr.slots):
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for k, terms in enumerate(expr.slots, 1):
         for t in terms:
-            q = t.coef * (bindings[t.param] if t.param else 1)
-            i, j = t.pair[0] - 1, t.pair[1] - 1
-            c[i][j][k] -= q
-            c[j][i][k] += q
-    return LieAlgebra.unchecked(c, name=name)
+            q = t.coef * bindings[t.param] if t.param else t.coef
+            i, j = t.pair
+            if i > j:  # [e_j, e_i] = q e_k
+                i, j = j, i
+            else:
+                q = -q
+            comps = brackets.setdefault((i, j), {})
+            comps[k] = comps[k] + q if k in comps else q
+    return LieAlgebra.from_brackets(expr.n, brackets, name=name, validate=False)
 
 
 def parse_algebra(text: str, bindings: dict | None = None,
@@ -230,16 +233,11 @@ def parse_algebra(text: str, bindings: dict | None = None,
 
 def expr_of(g: LieAlgebra) -> AlgebraExpr:
     """Tuple expression of an algebra (ascending index pairs)."""
-    slots = []
-    for k in range(g.n):
-        terms = []
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                q = -g.c[i][j][k]  # de_k(e_i,e_j) = -e_k([e_i,e_j])
-                if q:
-                    terms.append(Term(q, None, (i + 1, j + 1)))
-        slots.append(tuple(terms))
-    return AlgebraExpr(g.n, tuple(slots))
+    slots: list[list[Term]] = [[] for _ in range(g.n)]
+    for pair, comps in g.brackets().items():
+        for k, q in comps.items():
+            slots[k - 1].append(Term(-q, None, pair))  # de_k = -e_k([.,.])
+    return AlgebraExpr(g.n, tuple(map(tuple, slots)))
 
 
 # -- k-form literals (same term syntax with k indices) ----------------------

@@ -9,7 +9,11 @@ P from the bracket map on lex pairs, d_P one `KForm` at a time; the CE
 differential d as `CEComplex.d` applied it before it read the integer rows
 of D d_k: de^m = -sum_{a<b} c^m_ab e_ab from the dense constants, extended
 as an antiderivation in `Fraction`s; and the CE rows built from that d, one
-`KForm` at a time.  The tests compare the two.
+`KForm` at a time; and the constructors as `LieAlgebra` and `families`
+wrote them before every one went through `from_brackets`: the direct sum,
+the subalgebra on a closed subspace and the graded extension, each filling
+both antisymmetric halves of a dense n x n x n tensor, and the search for a
+basis-aligned split over all 2^n masks.  The tests compare the two.
 """
 
 from fractions import Fraction
@@ -18,7 +22,9 @@ from math import comb, gcd
 from liekernel.cohomology import extend_as_derivation
 from liekernel.exterior import (KForm, KVector, bits_of, multi_indices,
                                 vector_of, wedge)
+from liekernel.errors import SubspaceError
 from liekernel.kernelmap import DPProperties
+from liekernel.liealg import LieAlgebra
 from liekernel.linalg import Subspace, nullspace, transpose
 
 
@@ -175,3 +181,69 @@ def dP_properties(g):
     dim_pstar = comb(g.n, 2) - len(rref(d_dense(g, 1))[1])
     dim_z3 = comb(g.n, 3) - rank(d_dense(g, 3))
     return DPProperties(r == dim_pstar, r == dim_z3, r, dim_pstar, dim_z3)
+
+
+def direct_sum(g, h):
+    n, m = g.n, h.n
+    total = n + m
+    c = [[[Fraction(0)] * total for _ in range(total)] for _ in range(total)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i][j][k] = g.c[i][j][k]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                c[n + i][n + j][n + k] = h.c[i][j][k]
+    return LieAlgebra(c)
+
+
+def subalgebra(g, space):
+    """Structure constants in the echelon basis of a closed subspace."""
+    m = space.dim
+    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, u in enumerate(space.basis):
+        for j, v in enumerate(space.basis):
+            coords = space.coordinates(g.bracket(u, v))
+            if coords is None:
+                raise SubspaceError("subspace is not closed under the bracket")
+            for k, q in enumerate(coords):
+                c[i][j][k] = q
+    return LieAlgebra(c)
+
+
+def graded_extension(k, weights):
+    """Adjoin A with ad_A = multiplication by w_i on e_i."""
+    n = k.n + 1
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(k.n):
+        for j in range(k.n):
+            for m in range(k.n):
+                c[i + 1][j + 1][m + 1] = k.c[i][j][m]
+    for j, w in enumerate(weights):
+        c[0][j + 1][j + 1] = Fraction(w)
+        c[j + 1][0][j + 1] = Fraction(-w)
+    return LieAlgebra(c)
+
+
+def has_basis_aligned_split(c):
+    """Some mask of the basis into two nonempty parts with no bracket
+    between them and each part closed."""
+    n = len(c)
+    for mask in range(1, (1 << n) - 1):
+        left = [i for i in range(n) if mask >> i & 1]
+        right = [i for i in range(n) if not mask >> i & 1]
+        ok = True
+        for i in left:
+            for j in right:
+                if any(c[i][j][k] for k in range(n)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        if all(not c[i][j][k] for i in left for j in left for k in right) and \
+           all(not c[i][j][k] for i in right for j in right for k in left):
+            return True
+    return False

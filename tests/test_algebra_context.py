@@ -5,7 +5,9 @@ Sparse `bracket`, `ad` and `ad_multivector`, the integer CE rows and their
 ranks, `CEComplex.d` on those rows, and the Lie kernel, d_P and Betti
 numbers read off the cached complex, are compared against the dense
 constructions in `dense_oracle` on permuted, rescaled direct sums of corpus
-fixtures, also under unimodular changes of basis.  The cached complex and
+fixtures, also under unimodular changes of basis; so are the direct sum,
+subalgebra and graded extension built through `from_brackets`,
+`is_unimodular` and the union-find split test.  The cached complex and
 kernel are checked for identity, for not outliving their algebra, and the
 complex for being the only one the corpus checks build.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
 from liekernel import cohomology, parse_algebra
@@ -24,7 +26,8 @@ from liekernel.cohomology import CEComplex, betti, ce_differential, complex_of
 from liekernel.corpus import check_algebra
 from liekernel.errors import JacobiError
 from liekernel.exterior import KForm, KVector, multi_indices
-from liekernel.families import load_corpus, su3
+from liekernel.families import (GradedNilpotent, graded_extension,
+                                has_basis_aligned_split, load_corpus, su3)
 from liekernel.kernelmap import (LieKernel, ad_multivector, dP, dP_properties,
                                  lie_kernel, multimoment_value, pdual)
 from liekernel.liealg import LieAlgebra
@@ -149,6 +152,59 @@ def test_integer_d_and_ad_multivector_match_the_dense_oracle(g, data):
                 ixs: data.draw(coeffs) for ixs in multi_indices(g.n, k)}, k)
             assert ad_multivector(g, z, p) == \
                 dense_oracle.ad_multivector(g.c, z, p)
+
+
+SUMMANDS = {e.name: e for e in load_corpus() if e.algebra.n <= 5}
+
+
+@st.composite
+def permuted_sums(draw):
+    """(names, perm, p): one to three corpus summands, n <= 10, a permutation
+    of the basis of their direct sum, and at n <= 7 maybe a unimodular
+    change of basis p to apply after it."""
+    names = draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=1,
+                          max_size=3)
+                 .filter(lambda ns: sum(SUMMANDS[t].algebra.n for t in ns) <= 10))
+    n = sum(SUMMANDS[t].algebra.n for t in names)
+    perm = draw(st.permutations(range(n)))
+    return names, perm, draw(st.none() | unimodular(n)) if n <= 7 else None
+
+
+def permuted(g, perm):
+    """g in the basis e'_i = e_perm(i)."""
+    n = g.n
+    return LieAlgebra([[[g.c[perm[i]][perm[j]][perm[k]] for k in range(n)]
+                        for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(permuted_sums())
+@example((["h3", "R1"], [3, 0, 2, 1], None))  # no bracket touches e'_1
+def test_constructors_and_readers_match_the_dense_oracle(case):
+    names, perm, basis = case
+    parts = [SUMMANDS[t] for t in names]
+    g = ref = parts[0].algebra
+    for part in parts[1:]:
+        g = g.direct_sum(part.algebra)
+        ref = dense_oracle.direct_sum(ref, part.algebra)
+        assert g.c == ref.c
+    p = permuted(g, perm)
+    assert p.is_unimodular() == all(
+        sum(p.c[i][j][j] for j in range(p.n)) == 0 for i in range(p.n))
+    split = has_basis_aligned_split(p)
+    assert split == dense_oracle.has_basis_aligned_split(p.c)
+    assert split or len(parts) == 1
+    derived = p.derived_algebra()
+    assert p.subalgebra(derived).c == dense_oracle.subalgebra(p, derived).c
+    if all(part.grading for part in parts):
+        w = [x for part in parts for x in part.grading]
+        w = tuple(w[perm[i]] for i in range(p.n))
+        assert graded_extension(GradedNilpotent(p, w)).c == \
+            dense_oracle.graded_extension(p, w).c
+    if basis is not None:
+        q = change_basis(p, basis)
+        assert has_basis_aligned_split(q) == \
+            dense_oracle.has_basis_aligned_split(q.c)
 
 
 @pytest.mark.parametrize("text", ["(0,21+31,31,2.41+32)", "(-2.23,2.13,-2.12)",

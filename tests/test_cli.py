@@ -107,6 +107,27 @@ def test_structure_report(capsys):
     assert res["derived_series_dims"] == [5, 4, 0]
 
 
+def test_structure_of_ext_n6_at_the_dimension_limit(capsys):
+    # ext(n(6)): the strictly upper-triangular 6x6 matrices, E_ab in weight
+    # b - a, with the grading element adjoined; n = 16, the parser's limit
+    from itertools import combinations
+
+    from liekernel.families import GradedNilpotent, graded_extension
+    from liekernel.liealg import matrix_lie_algebra
+    from liekernel.parser import expr_of, serialize
+
+    pairs = list(combinations(range(6), 2))
+    n6 = matrix_lie_algebra([[[int((r, s) == p) for s in range(6)]
+                              for r in range(6)] for p in pairs])
+    ext = graded_extension(GradedNilpotent(n6, tuple(b - a for a, b in pairs)))
+    code, payload = run_json(capsys, "structure", serialize(expr_of(ext)))
+    assert code == 0
+    res = payload["result"]
+    assert len(res["betti"]) == 17 and res["is_23_trivial"]
+    assert res["trivial23_consequences"]["not_basis_split"] is True
+    assert all(res["trivial23_consequences"].values())
+
+
 def test_derivations_and_char_nilpotent(capsys):
     code, payload = run_json(
         capsys, "derivations",

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_form
-from liekernel import (KForm, basis_form, basis_vector,
+from liekernel import (KForm, KVector, basis_form, basis_vector,
                        bivector_contract, evaluate, hodge_star, interior,
                        pairing, pullback, vector_of, wedge)
+from liekernel.exterior import multi_indices
 from liekernel.errors import DimensionMismatch, HodgeError
 
 
@@ -156,6 +157,20 @@ def test_pullback_respects_wedge(rng):
 def test_pairing_duality():
     assert pairing(basis_form(4, 1, 3), basis_vector(4, 1, 3)) == 1
     assert pairing(basis_form(4, 1, 3), basis_vector(4, 1, 2)) == 0
+
+
+def test_int_pairing_stays_int_and_equals_the_fraction_pairing(rng):
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        terms = list(multi_indices(n, k))
+        a = {ixs: rng.randint(-3, 3) for ixs in terms}
+        b = {ixs: rng.randint(-3, 3) for ixs in terms}
+        exact = pairing(
+            KForm.from_terms(n, {t: Fraction(q) for t, q in a.items()}, k),
+            KVector.from_terms(n, {t: Fraction(q) for t, q in b.items()}, k))
+        value = pairing(KForm.from_terms(n, a, k), KVector.from_terms(n, b, k))
+        assert type(value) is int and value == exact
 
 
 def test_max_dimension_enforced():

@@ -8,7 +8,8 @@ from liekernel import (GradedNilpotent, LieAlgebra, betti, graded_extension,
                        verify_tables)
 from liekernel.errors import AdmissibilityError, LieKernelError
 from liekernel.families import (FAMILY_NAMES, FamilySpec, TABLE_EXCLUDED,
-                                TABLE_GRIDS, corpus_algebra,
+                                TABLE_GRIDS, _make_family_unchecked,
+                                corpus_algebra,
                                 has_basis_aligned_split, load_corpus,
                                 make_unimodular_5dim,
                                 seven_dim_characteristically_nilpotent,
@@ -19,18 +20,36 @@ from liekernel.parser import serialize, expr_of
 
 def test_family_texts_match_tables():
     assert serialize(expr_of(make_family("r3"))) is not None
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     cases = [
+        ("r3", {}, "(0,21+31,31)"),
         ("r3l", {"l": Fraction(1)}, "(0,21,31)"),
-        ("d4l", {"l": Fraction(1, 2)}, "(0,1/2.21,1/2.31,41+32)"),
-        ("h4", {}, "(0,21+31,31,2.41+32)"),
-        ("r4ml", {"m": Fraction(1, 4), "l": Fraction(1, 2)},
-         "(0,21,1/4.31,1/2.41)"),
-        ("r4pml", {"m": Fraction(2), "l": Fraction(-1, 4)},
+        ("r3pl", {"l": half}, "(0,1/2.21+31,-21+1/2.31)"),
+        ("r4", {}, "(0,21+31,31+41,41)"),
+        ("r4l", {"l": -quarter}, "(0,21,-1/4.31+41,-1/4.41)"),
+        ("r4ml", {"m": quarter, "l": half}, "(0,21,1/4.31,1/2.41)"),
+        ("r4pml", {"m": Fraction(2), "l": -quarter},
          "(0,2.21,-1/4.31+41,-31-1/4.41)"),
+        ("d4l", {"l": half}, "(0,1/2.21,1/2.31,41+32)"),
+        ("d4l", {"l": Fraction(3, 2)}, "(0,3/2.21,-1/2.31,41+32)"),
+        # 2 lambda on e4: bound as a second name
+        ("d4pl", {"l": Fraction(2)}, "(0,2.21+31,-21+2.31,4.41+32)"),
+        ("d4pl", {"l": half}, "(0,1/2.21+31,-21+1/2.31,41+32)"),
+        ("h4", {}, "(0,21+31,31,2.41+32)"),
     ]
+    assert {name for name, _, _ in cases} == set(FAMILY_NAMES)
     for name, params, text in cases:
         g = make_family(name, **params)
-        assert g.c == parse_algebra(text).c
+        assert g.c == parse_algebra(text).c, (name, params)
+    excluded = [
+        ("d4l", {"l": Fraction(1)}, "(0,21,0,41+32)"),
+        ("d4l", {"l": Fraction(2)}, "(0,2.21,-31,41+32)"),
+        ("r4ml", {"m": -half, "l": half}, "(0,21,-1/2.31,1/2.41)"),
+    ]
+    for name, params, text in excluded:
+        spec = FamilySpec.of(name, **params)
+        assert not spec.admissible
+        assert _make_family_unchecked(spec).c == parse_algebra(text).c, spec
 
 
 def test_admissibility_errors():
@@ -106,6 +125,8 @@ def test_graded_extension_bad_grading_rejected():
     h3 = parse_algebra("(0,0,12)")
     with pytest.raises(LieKernelError):
         GradedNilpotent(h3, (1, 1, 3))  # [k1,k1] not in k2
+    with pytest.raises(LieKernelError):  # [e1,e2] = -e3 - e4; e4 is in k3
+        GradedNilpotent(parse_algebra("(0,0,12,12)"), (1, 1, 2, 3))
     with pytest.raises(LieKernelError):
         GradedNilpotent(h3, (1, 1))
     with pytest.raises(LieKernelError):

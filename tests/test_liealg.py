@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from liekernel import LieAlgebra, Subspace, parse_algebra
-from liekernel.errors import JacobiError, LieKernelError, SubspaceError
+from liekernel.errors import (DimensionMismatch, JacobiError, LieKernelError,
+                              SubspaceError)
 from liekernel.families import seven_dim_characteristically_nilpotent
 from liekernel.liealg import (is_nilpotent_matrix, matrix_commutator,
                               matrix_lie_algebra)
@@ -39,6 +40,13 @@ def test_antisymmetry_enforced():
     c[0][1][0] = Fraction(1)  # c[1][0][0] left at 0: not antisymmetric
     with pytest.raises(JacobiError):
         LieAlgebra(c)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_from_brackets_rejects_components_outside_the_basis(k):
+    # k = 0 must not wrap round to e3 through index -1
+    with pytest.raises(DimensionMismatch, match=rf"e{k} of \(1, 2\)"):
+        LieAlgebra.from_brackets(3, {(1, 2): {k: 1}})
 
 
 def test_antisymmetry_witness_is_first_failing_entry(rng):
@@ -105,6 +113,8 @@ def test_predicates(h3, su2):
     u5 = parse_algebra("(0,12,2.13,-4.14,15)")
     assert u5.is_solvable() and u5.is_unimodular() and not u5.is_nilpotent()
     assert su2.is_unimodular()
+    # [e1, e2] = -e1: the trace of ad_e2 reads the e1-component
+    assert not parse_algebra("(12,0)").is_unimodular()
 
 
 def test_direct_sum(h3):
