@@ -7,9 +7,10 @@ the alternating-sum formula
 packaged degree by degree, and d o d = 0 is exactly the Jacobi identity.
 The differential matrices are kept as sparse integer rows of D d_k, with D
 the common denominator of the structure constants (`CEComplex.scale`),
-built straight from the scaled constants with bitmask signs.  Ranks, pivots,
-cocycles and coboundaries are the same at any scale, so they read these rows
-as they are; the readers of the matrix itself, `ce_differential` and
+built straight from the scaled constants with bitmask signs, rows and
+columns in the lex basis of `exterior.lex`.  Ranks, pivots, cocycles and
+coboundaries are the same at any scale, so they read these rows as they
+are; the readers of the matrix itself, `ce_differential` and
 `LieKernel.dP_rows`, divide by D.  `CEComplex.d` applies these rows to a
 form's int numerators and divides once per entry.  Ranks are taken by exact
 sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import SubspaceError
-from .exterior import KForm, indices_of, multi_indices, wedge_sign
+from .exterior import KForm, indices_of, lex, wedge_sign
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
                      transpose, vec)
@@ -81,7 +81,6 @@ class CEComplex:
                 for m, q in br[a][b].items():
                     self._terms[m].append((ab, between, -q))
         self._rows: dict[int, list] = {}
-        self._lex: dict[int, tuple] = {}
         self._rank: dict[int, int] = {}
         self._pivots: dict[int, set] = {}
         self._cocycles: dict[int, Subspace] = {}
@@ -93,12 +92,12 @@ class CEComplex:
             raise SubspaceError("form lives on a different algebra")
         k = form.k
         scale, nums = clear_denominators(form.coeffs)
-        index, rows = self._lex_tables(k)[1], self.d_rows(k)
+        pos, rows = lex(self.n, k)[2], self.d_rows(k)
         acc: dict[int, int] = {}
         for b, v in nums.items():
-            for j, w in rows[index[b]].items():
+            for j, w in rows[pos[b]].items():
                 acc[j] = acc.get(j, 0) + v * w
-        out, scale = self._lex_tables(k + 1)[0], scale * self.scale
+        out, scale = lex(self.n, k + 1)[1], scale * self.scale
         return KForm(self.n, k + 1, {out[j]: Fraction(v, scale)
                                      for j, v in acc.items() if v})
 
@@ -106,12 +105,9 @@ class CEComplex:
         """Sparse integer row i = {j: D times the coefficient of e_J_j in
         d(e_I_i)}, lex indices, D = `scale`."""
         if k not in self._rows:
-            n, terms = self.n, self._terms
-            col = {sum(1 << i for i in ixs): j
-                   for j, ixs in enumerate(combinations(range(n), k + 1))}
+            terms, col = self._terms, lex(self.n, k + 1)[2]
             rows = []
-            for ixs in combinations(range(n), k):
-                bits = sum(1 << i for i in ixs)
+            for ixs, bits in zip(*lex(self.n, k)[:2]):
                 acc: dict[int, int] = {}
                 for pos, m in enumerate(ixs):
                     rest = bits ^ (1 << m)
@@ -127,14 +123,6 @@ class CEComplex:
                 rows.append({col[b]: v for b, v in acc.items() if v})
             self._rows[k] = rows
         return self._rows[k]
-
-    def _lex_tables(self, k: int) -> tuple[list[int], dict[int, int]]:
-        """The lex bitmasks of degree k and their positions, for `d`."""
-        if k not in self._lex:
-            lex = [sum(1 << i for i in ixs)
-                   for ixs in combinations(range(self.n), k)]
-            self._lex[k] = lex, {b: i for i, b in enumerate(lex)}
-        return self._lex[k]
 
     def unscale(self, rows: list[dict]) -> list[dict]:
         """Rows of `d_rows` divided by `scale`: entries of d itself."""
@@ -286,15 +274,14 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)
-        order = list(multi_indices(m, i))
         moved = []
         for z in zc.basis:
             f = KForm.from_vector(m, i, z)
-            lz = extend_as_derivation(images, f, 1).vector(order)
+            lz = extend_as_derivation(images, f, 1).vector()
             if not zc.contains(lz):
                 raise SubspaceError("induced action left Z^i; ideal data corrupt")
             moved.append(lz)
         # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i)
         boundaries = list(cx.coboundaries(i).basis)
-        dims.append(zc.dim - rank(boundaries + moved, len(order)))
+        dims.append(zc.dim - rank(boundaries + moved, comb(m, i)))
     return dims

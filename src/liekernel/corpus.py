@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .cohomology import (betti, complex_of, invariant_cohomology_dims,
                          is_23_trivial)
-from .exterior import KForm, KVector, multi_indices, pairing, wedge
+from .exterior import KForm, KVector, lex, pairing, wedge
 from .families import CorpusEntry, load_corpus, trivial23_consequences
 from .kernelmap import ad_multivector, dP, lie_kernel
 from .liealg import LieAlgebra
@@ -25,17 +24,16 @@ from .linalg import identity
 
 
 def _random_form(rng, n: int, k: int) -> KForm:
-    return KForm.from_terms(n, {
-        ixs: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        for ixs in multi_indices(n, k)}, k)
+    return KForm(n, k, {b: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for b in lex(n, k)[1]})
 
 
 def _integral_triple(rng, n: int, basis: list[dict]):
     """6 alpha, z and L p in ints, for the rational alpha (`_random_form`),
     z and p in P that the same draws give; `basis` is the kernel basis
     times L, the lcm of its denominators."""
-    alpha = {(1 << i) | (1 << j): rng.randint(-4, 4) * (6 // rng.randint(1, 3))
-             for i, j in combinations(range(n), 2)}
+    alpha = {b: rng.randint(-4, 4) * (6 // rng.randint(1, 3))
+             for b in lex(n, 2)[1]}
     z = tuple(rng.randint(-3, 3) for _ in range(n))
     p: dict[int, int] = {}
     for row in basis:

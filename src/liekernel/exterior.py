@@ -1,21 +1,26 @@
 """Exact exterior algebra on R^n with bitmask multi-indices.
 
 Basis k-forms e_{i1...ik} are keyed by bitmasks of {1..n} (bit i-1 set for
-index i), so all wedge/contraction signs are popcount arithmetic.  The
-coefficient ring is duck-typed: anything with +, -, *, negation and a
-truthiness zero test works (Fraction everywhere in this package, plus
-polynomials in t for the flow DGA and floats on the stated floating paths).
+index i), so all wedge/contraction signs are popcount arithmetic.  `lex`
+decides, once per (n, k), which bitmask sits at which position of the lex
+basis of Lambda^k; every vector, matrix row and column in the package is
+read in that order.  The coefficient ring is duck-typed: anything with +,
+-, *, negation and a truthiness zero test works (Fraction everywhere in
+this package, plus polynomials in t for the flow DGA and floats on the
+stated floating paths).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import DimensionMismatch, HodgeError, LieKernelError
 from . import linalg
 
 MAX_DIM = 16
+_ZERO = Fraction(0)
 
 
 def _check_dim(n: int):
@@ -60,6 +65,20 @@ def wedge_sign(abits: int, bbits: int) -> int:
 def multi_indices(n: int, k: int):
     """All degree-k index tuples in lexicographic order."""
     return combinations(range(1, n + 1), k)
+
+
+@cache
+def lex(n: int, k: int) -> tuple[tuple, tuple, dict]:
+    """The lex basis of Lambda^k R^n as (ixs, bits, pos): the 0-based index
+    tuples in lex order, their bitmasks, and pos[b] = position of bitmask b.
+
+    Memoised and shared by every caller, so read only; n <= MAX_DIM bounds
+    the cache (every degree at n = 16 is ~15 MB).
+    """
+    _check_dim(n)
+    ixs = tuple(combinations(range(n), k))
+    bits = tuple(sum(1 << i for i in t) for t in ixs)
+    return ixs, bits, {b: j for j, b in enumerate(bits)}
 
 
 class _Element:
@@ -169,19 +188,15 @@ class _Element:
     def map_coeffs(self, f):
         return self._like({b: f(c) for b, c in self.coeffs.items()})
 
-    def vector(self, order=None) -> tuple:
+    def vector(self) -> tuple:
         """Coefficient vector in the lexicographic multi-index basis."""
-        if order is None:
-            order = multi_indices(self.n, self.k)
-        return tuple(self.coeffs.get(bits_of(ixs)[0], Fraction(0)) for ixs in order)
+        get = self.coeffs.get
+        return tuple(get(b, _ZERO) for b in lex(self.n, self.k)[1])
 
     @classmethod
     def from_vector(cls, n: int, k: int, coords):
-        coeffs = {}
-        for ixs, c in zip(multi_indices(n, k), coords, strict=True):
-            if c:
-                coeffs[bits_of(ixs)[0]] = c
-        return cls(n, k, coeffs)
+        return cls(n, k, {b: c for b, c in zip(lex(n, k)[1], coords,
+                                                strict=True) if c})
 
     def __repr__(self):
         if not self.coeffs:
@@ -316,14 +331,13 @@ def pullback(form: KForm, matrix) -> KForm:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("pullback matrix must be n x n")
     acc: dict[int, object] = {}
-    for target in multi_indices(n, form.k):
+    for target, tbits in zip(*lex(n, form.k)[:2]):
         total = Fraction(0)
         for bits, c in form.coeffs.items():
             src = indices_of(bits)
-            minor = [[rows[i - 1][j - 1] for j in target] for i in src]
+            minor = [[rows[i - 1][j] for j in target] for i in src]
             total += c * linalg.det(minor)
-        if total:
-            acc[bits_of(target)[0]] = total
+        acc[tbits] = total
     return KForm(n, form.k, acc)
 
 
@@ -353,16 +367,15 @@ def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
     k = a.k
     full = (1 << n) - 1
     acc: dict[int, object] = {}
-    for src in multi_indices(n, k):
+    for src, sbits in zip(*lex(n, k)[:2]):
         # <e_src, a> in the Lambda^k inner product induced by gram
         val = Fraction(0)
         for bits, c in a.coeffs.items():
             tgt = indices_of(bits)
-            minor = [[ginv[i - 1][j - 1] for j in tgt] for i in src]
+            minor = [[ginv[i][j - 1] for j in tgt] for i in src]
             val += c * linalg.det(minor)
         if not val:
             continue
-        sbits = bits_of(src)[0]
         comp = full ^ sbits
         s = wedge_sign(sbits, comp)
         coeff = val * vol_scale * s * orientation

@@ -4,8 +4,8 @@ The three- and four-dimensional tables are one table of parametric tuples,
 bound through the parser exactly as ``--bind`` binds them, with their side
 constraints enforced exactly.  d4pl's 2λ is bound as a second name, l2,
 because the grammar gives a parameter only a sign.  Also houses the su(2),
-su(3), u(2) fixtures with integer structure constants and the shipped
-fixture corpus.
+su(3), u(2) fixtures with integer structure constants, su(3) read off its
+matrices by `matrix_lie_algebra`, and the shipped fixture corpus.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
 import math
 
 from .cohomology import complex_of, is_23_trivial
 from .errors import AdmissibilityError, LieKernelError
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, matrix_lie_algebra
 from .parser import (instantiate, load_lie_file, parse_algebra, parse_lie_text,
                      serialize)
 
@@ -324,67 +323,29 @@ def seven_dim_characteristically_nilpotent(alpha) -> LieAlgebra:
 SU3_BASIS_NAMES = ("A1", "A2", "B12", "B13", "B23", "C12", "C13", "C23")
 
 
-def _su3_matrices():
-    """(real, imaginary) integer parts of the eight basis matrices."""
-    def e(p, q):
-        m = [[0] * 3 for _ in range(3)]
-        m[p][q] = 1
+def su3() -> LieAlgebra:
+    """su(3) in the real basis A_j = i(E_jj - E_j+1,j+1), B_kl = E_kl - E_lk,
+    C_kl = i(E_kl + E_lk); integer structure constants.
+
+    Each basis matrix X + iY enters `matrix_lie_algebra` as its real form
+    [[X, -Y], [Y, X]].
+    """
+    def real_form(imaginary, *terms):
+        """The real form of sum s E_pq, times i if imaginary."""
+        m = [[0] * 6 for _ in range(6)]
+        for p, q, s in terms:
+            if imaginary:
+                m[p + 3][q], m[p][q + 3] = s, -s
+            else:
+                m[p][q], m[p + 3][q + 3] = s, s
         return m
 
-    def madd(a, b, sb=1):
-        return [[a[i][j] + sb * b[i][j] for j in range(3)] for i in range(3)]
-
-    zero = [[0] * 3 for _ in range(3)]
-    basis = []
-    for j in (0, 1):
-        basis.append((zero, madd(e(j, j), e(j + 1, j + 1), -1)))  # A_j = i(...)
-    for (k, l) in ((0, 1), (0, 2), (1, 2)):
-        basis.append((madd(e(k, l), e(l, k), -1), zero))          # B_kl
-    for (k, l) in ((0, 1), (0, 2), (1, 2)):
-        basis.append((zero, madd(e(k, l), e(l, k))))              # C_kl
-    return basis
-
-
-def _complex_commutator(x, y):
-    xr, xi = x
-    yr, yi = y
-    def mul(ar, ai, br, bi):
-        re = [[sum(ar[i][k] * br[k][j] - ai[i][k] * bi[k][j] for k in range(3))
-               for j in range(3)] for i in range(3)]
-        im = [[sum(ar[i][k] * bi[k][j] + ai[i][k] * br[k][j] for k in range(3))
-               for j in range(3)] for i in range(3)]
-        return re, im
-    pr, pi = mul(xr, xi, yr, yi)
-    qr, qi = mul(yr, yi, xr, xi)
-    return ([[pr[i][j] - qr[i][j] for j in range(3)] for i in range(3)],
-            [[pi[i][j] - qi[i][j] for j in range(3)] for i in range(3)])
-
-
-def _su3_coordinates(x):
-    """Exact coordinates in the (A, B, C) basis by direct entry reads."""
-    re, im = x
-    coords = [im[0][0], -im[2][2],
-              re[0][1], re[0][2], re[1][2],
-              im[0][1], im[0][2], im[1][2]]
-    # consistency: rebuild and compare
-    basis = _su3_matrices()
-    for part in (0, 1):
-        for i in range(3):
-            for j in range(3):
-                built = sum(c * basis[b][part][i][j] for b, c in enumerate(coords))
-                if built != x[part][i][j]:
-                    raise LieKernelError("su(3) coordinate extraction failed")
-    return coords
-
-
-def su3() -> LieAlgebra:
-    """su(3) in the real basis A_j, B_kl, C_kl; integer structure constants."""
-    basis = _su3_matrices()
-    brackets = {}
-    for (i, x), (j, y) in combinations(enumerate(basis, 1), 2):
-        coords = _su3_coordinates(_complex_commutator(x, y))
-        brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
-    return LieAlgebra.from_brackets(8, brackets, name="su3")
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return matrix_lie_algebra(
+        [real_form(True, (j, j, 1), (j + 1, j + 1, -1)) for j in (0, 1)]
+        + [real_form(False, (k, l, 1), (l, k, -1)) for k, l in pairs]
+        + [real_form(True, (k, l, 1), (l, k, 1)) for k, l in pairs],
+        name="su3")
 
 
 def su2() -> LieAlgebra:

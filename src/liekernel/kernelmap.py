@@ -21,8 +21,8 @@ from math import comb
 
 from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
-from .exterior import (KForm, KVector, indices_of, interior, multi_indices,
-                       pairing, vector_of)
+from .exterior import (KForm, KVector, indices_of, interior, lex, pairing,
+                       vector_of)
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
                      solve, transpose)
@@ -49,11 +49,6 @@ class LieKernel:
 
     def basis(self) -> list[KVector]:
         return [KVector.from_vector(self.n, 2, row) for row in self.space.basis]
-
-    def slice_indices(self) -> list[tuple[int, int]]:
-        """Multi-indices of the coordinate slice identified with P*."""
-        pairs = list(multi_indices(self.n, 2))
-        return [pairs[c] for c in self.slice]
 
     def dP_rows(self) -> list[dict]:
         """Matrix of d_P: sparse rows of d_2 at the slice, over lex triples."""
@@ -185,8 +180,9 @@ def multimoment_value(g: LieAlgebra, psi: KForm) -> PDualElement:
               target) if rows else (None if any(target) else ())
     if x is None:
         raise MomentMapError("psi is not in the image of dP (b3 obstruction)")
-    return PDualElement(g, KForm.from_terms(
-        g.n, dict(zip(kernel.slice_indices(), x)), 2))
+    bits = lex(g.n, 2)[1]
+    return PDualElement(g, KForm(g.n, 2, {bits[c]: q
+                                          for c, q in zip(kernel.slice, x)}))
 
 
 def stabilizer(g: LieAlgebra, beta) -> Subspace:
@@ -202,8 +198,7 @@ def kernel_of_psi(g: LieAlgebra, psi: KForm) -> Subspace:
     """{X in g : X -| psi = 0} for an arbitrary three-form psi."""
     if psi.n != g.n:
         raise DimensionMismatch("psi lives on a different algebra")
-    order = list(multi_indices(g.n, psi.k - 1))
-    columns = [interior(vector_of(g.n, u), psi).vector(order)
+    columns = [interior(vector_of(g.n, u), psi).vector()
                for u in identity(g.n)]
     return Subspace(g.n, nullspace(transpose(columns), g.n))
 

@@ -2,17 +2,16 @@
 
 Every constructor in the package goes through `LieAlgebra.from_brackets`,
 which takes the nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j
-and sets each constant once, as q at (i, j, k) and -q at (j, i, k);
-`LieAlgebra(c)` still takes a dense tensor from callers that build one.
-The constants are
-kept dense as the public c[i][j][k] = coefficient of e_k in [e_i, e_j], all
-Fractions, for callers that index them, and as their nonzeros, sc[i][j] =
-{k: c^k_ij}, which bracket and the antisymmetry check iterate over; most
-constants of a real algebra are zero.  `brackets` hands the nonzeros back
-in the form `from_brackets` takes, for the readers that scan every
-constant.  `scaled_brackets` keeps them once more, times their common
-denominator D, as integers, for the Jacobi test, the integer CE rows and
-the integer columns of ad.
+and stores each constant straight into the sparse sc[i][j] = {k: c^k_ij}
+(Fractions, ascending k), as q at (i, j) and -q at (j, i); most constants
+of a real algebra are zero.  `LieAlgebra(c)` still takes a dense tensor
+from callers that build one, and checks its shape and antisymmetry.  The
+dense c[i][j][k] = coefficient of e_k in [e_i, e_j] is a read-only view,
+built from sc on first read, for the callers that index it.  `brackets`
+hands the nonzeros back in the form `from_brackets` takes.
+`scaled_brackets` keeps them once more, times their common denominator D,
+as integers, for the Jacobi test, the integer CE rows and the integer
+columns of ad.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
-from .linalg import Subspace, clear_denominators, identity, nullspace, vec
+from .linalg import (Subspace, clear_denominators, identity, inverse,
+                     mat_vec, nullspace, transpose, vec)
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -31,22 +31,24 @@ _ZERO = Fraction(0)
 class LieAlgebra:
     def __init__(self, c, name: str | None = None, _validate: bool = True):
         n = len(c)
-        if n > 16:
-            raise LieKernelError(f"dimension {n} above the supported 16")
-        self.n = n
-        self.c = tuple(tuple(vec(row) for row in plane) for plane in c)
-        if any(len(p) != n or any(len(r) != n for r in p) for p in self.c):
+        self._init(n, name)
+        c = tuple(tuple(vec(row) for row in plane) for plane in c)
+        if any(len(p) != n or any(len(r) != n for r in p) for p in c):
             raise DimensionMismatch("structure constants are not n x n x n")
         self.sc = tuple(tuple({k: q for k, q in enumerate(row) if q}
-                              for row in plane) for plane in self.c)
-        self.name = name
-        self._validated = False
-        self._scaled = None  # filled by scaled_brackets
-        self._complex = None  # filled by cohomology.complex_of
-        self._kernel = None  # filled by kernelmap.lie_kernel
+                              for row in plane) for plane in c)
+        self._c = c
         self._check_antisymmetry()
         if _validate:
             self.validate()
+
+    def _init(self, n: int, name: str | None):
+        if n > 16:
+            raise LieKernelError(f"dimension {n} above the supported 16")
+        self.n, self.name, self._validated = n, name, False
+        # caches filled on first use by the c property, scaled_brackets,
+        # cohomology.complex_of and kernelmap.lie_kernel
+        self._c = self._scaled = self._complex = self._kernel = None
 
     @classmethod
     def unchecked(cls, c, name: str | None = None) -> "LieAlgebra":
@@ -61,18 +63,32 @@ class LieAlgebra:
     def from_brackets(cls, n: int, brackets: dict, name: str | None = None,
                       validate: bool = True) -> "LieAlgebra":
         """brackets maps 1-based (i, j) with i<j to {k: coeff} for [e_i,e_j]."""
-        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        g = cls.__new__(cls)
+        g._init(n, name)
+        sc = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), comps in brackets.items():
             if not 1 <= i < j <= n:
                 raise DimensionMismatch(f"bad bracket key {(i, j)}")
-            for k, q in comps.items():
+            for k, q in sorted(comps.items()):
                 if not 1 <= k <= n:
                     raise DimensionMismatch(
                         f"bracket component e{k} of {(i, j)} outside 1..{n}")
                 q = q if type(q) is Fraction else Fraction(q)
-                c[i - 1][j - 1][k - 1] = q
-                c[j - 1][i - 1][k - 1] = -q
-        return cls(c, name=name, _validate=validate)
+                if q:
+                    sc[i - 1][j - 1][k - 1] = q
+                    sc[j - 1][i - 1][k - 1] = -q
+        g.sc = tuple(map(tuple, sc))
+        return g.validate() if validate else g
+
+    @property
+    def c(self) -> tuple:
+        """Dense c[i][j][k] = coefficient of e_k in [e_i, e_j], all
+        Fractions; built from sc on first read."""
+        if self._c is None:
+            ks = range(self.n)
+            self._c = tuple(tuple(tuple(row.get(k, _ZERO) for k in ks)
+                                  for row in plane) for plane in self.sc)
+        return self._c
 
     def brackets(self) -> dict:
         """The nonzero brackets in the form `from_brackets` takes: 1-based
@@ -260,7 +276,7 @@ class LieAlgebra:
         Rows of the returned subspace are matrices flattened row-major.
         """
         self.validate()
-        n = self.n
+        n, c = self.n, self.c
         rows = []
         # unknowns D[a][b], flattened index a*n + b
         for i in range(n):
@@ -269,11 +285,11 @@ class LieAlgebra:
                     coeff = [Fraction(0)] * (n * n)
                     # [De_i, e_j]_k = sum_a D[a][i] c[a][j][k]
                     for a in range(n):
-                        coeff[a * n + i] += self.c[a][j][k]
-                        coeff[a * n + j] += self.c[i][a][k]
+                        coeff[a * n + i] += c[a][j][k]
+                        coeff[a * n + j] += c[i][a][k]
                     # -(D[e_i,e_j])_k = -sum_b c[i][j][b] D[k][b]
                     for b in range(n):
-                        coeff[k * n + b] -= self.c[i][j][b]
+                        coeff[k * n + b] -= c[i][j][b]
                     rows.append(tuple(coeff))
         return Subspace(n * n, nullspace(rows, n * n))
 
@@ -316,7 +332,8 @@ def matrix_commutator(a, b):
 
 
 def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
-    """Abstract structure constants of a commutator-closed matrix span.
+    """Abstract structure constants of a commutator-closed matrix span, in
+    the given basis of matrices.
 
     Raises SubspaceError if the span is not closed under commutators.
     Returns None for the zero algebra.
@@ -328,6 +345,9 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
     span = Subspace(n * n, flat)
     if span.dim != len(matrices):
         raise LieKernelError("matrix basis is linearly dependent")
+    # echelon coordinates x of a commutator are x M^-1 in the given basis,
+    # M the echelon coordinates of the given matrices
+    back = transpose(inverse([span.coordinates(f) for f in flat]))
     brackets = {}
     for (i, a), (j, b) in combinations(enumerate(matrices, 1), 2):
         comm = matrix_commutator(a, b)
@@ -335,6 +355,7 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
             tuple(comm[r][s] for r in range(n) for s in range(n)))
         if coords is None:
             raise SubspaceError("matrix span not closed under commutator")
+        coords = mat_vec(back, coords)
         brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
     return LieAlgebra.from_brackets(len(matrices), brackets, name=name)
 

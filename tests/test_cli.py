@@ -357,3 +357,32 @@ def test_human_readable_default(capsys):
     code, out = run(capsys, "betti", "(0,0,12)")
     assert code == 0
     assert "b: [1, 2, 2, 1]" in out
+
+
+SU3 = ("(-2.36-2.47,-2.47-2.58,2.16-26+45+78,17+27-35+68,-18+2.28+34+67,"
+       "-2.13+23-48-57,-14-24-38+56,15-2.25+37+46)")
+
+# Reports that read the lex basis of Lambda^k (kernel bases, coset
+# representatives, d_P images), pinned byte for byte.
+PINNED_JSON = [
+    (('kernel', 'SU3'),
+     '{"command":"kernel","input_sha256":"d003754c114027a12a6aa6bc15f552ac30020e58ad87b89d847a686167e40a7b","mode":"exact","result":{"basis_bivectors":["12","13-2.57","14+56","15-46","16-2.78","17-68","18+67","23+57","24+56","25+2.46","26+78","27-68","28-2.67","34-67","35+68","36-47+58","37-46","38+56","45-78","48-57"],"dP_injective":true,"dP_surjective_onto_Z3":false,"dim":20,"formula_value":20,"matches_formula":true},"schema":"liekernel-report/1"}'),
+    (('kernel', '(0,0,12)'),
+     '{"command":"kernel","input_sha256":"573692959be7d4ec55a2fa82990f7d7849483d9e0b1d1b59bd856cfb3df0954b","mode":"exact","result":{"basis_bivectors":["13","23"],"dP_injective":false,"dP_surjective_onto_Z3":false,"dim":2,"formula_value":2,"matches_formula":true},"schema":"liekernel-report/1"}'),
+    (('orbit', 'SU3', '--beta', '34-67'),
+     '{"command":"orbit","input_sha256":"a8bf48a2009ea48e5814a3b369cd5408405ce22513018831dc8655975a77491f","mode":"exact","result":{"condition_holds":true,"dP_beta":"3.137-3.146","kernel_dim":3,"orbit_dim":5,"stabilizer_dim":3},"schema":"liekernel-report/1"}'),
+    (('orbit', '(0,34,-24,23)', '--beta', '12'),
+     '{"command":"orbit","input_sha256":"731646f53dcc69c7e5aaf8f9f12a36a478771635385d20a0419189bd3f80935b","mode":"exact","result":{"condition_holds":false,"dP_beta":"-134","kernel_dim":1,"orbit_dim":2,"stabilizer_dim":2},"schema":"liekernel-report/1"}'),
+    (('mmmap', '(0,21,1/2.31)', '--psi', '123'),
+     '{"command":"mmmap","input_sha256":"8be2d67457aa9bf2b2e4564255b0468b909d6902611ae33699dafd3c7a2d82a0","mode":"exact","result":{"beta":"-2/3.23","dP_beta":"123","round_trip_ok":true},"schema":"liekernel-report/1"}'),
+    (('structure', '(0,12,2.13,-4.14,15)'),
+     '{"command":"structure","input_sha256":"eeb656c4e75a6f400a49454a40477b14e1d987a2f2cf61ae445cfaec956931d6","mode":"exact","result":{"betti":[1,1,0,0,1,1],"derived_series_dims":[5,4,0],"is_23_trivial":true,"lower_central_dims":[5,4,4],"nilpotent":false,"solvable":true,"trivial23_consequences":{"b1_is_1":true,"derived_codim_1":true,"derived_nilpotent":true,"not_basis_split":true,"not_nilpotent":true,"solvable":true},"unimodular":true},"schema":"liekernel-report/1"}'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_JSON, ids=[
+    "kernel-su3", "kernel-h3", "orbit-su3", "orbit-u2", "mmmap-r3", "structure-u5"])
+def test_lex_dependent_json_is_pinned(capsys, argv, expected):
+    code, out = run(capsys, *(SU3 if a == "SU3" else a for a in argv), "--json")
+    assert code == 0
+    assert out == expected + "\n"

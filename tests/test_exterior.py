@@ -6,8 +6,8 @@ from conftest import random_form
 from liekernel import (KForm, KVector, basis_form, basis_vector,
                        bivector_contract, evaluate, hodge_star, interior,
                        pairing, pullback, vector_of, wedge)
-from liekernel.exterior import multi_indices
-from liekernel.errors import DimensionMismatch, HodgeError
+from liekernel.exterior import MAX_DIM, bits_of, lex, multi_indices
+from liekernel.errors import DimensionMismatch, HodgeError, LieKernelError
 
 
 def e(*ix):
@@ -171,6 +171,36 @@ def test_int_pairing_stays_int_and_equals_the_fraction_pairing(rng):
             KVector.from_terms(n, {t: Fraction(q) for t, q in b.items()}, k))
         value = pairing(KForm.from_terms(n, a, k), KVector.from_terms(n, b, k))
         assert type(value) is int and value == exact
+
+
+def test_lex_matches_multi_indices_and_bits_of():
+    try:
+        for n in range(1, MAX_DIM + 1):
+            for k in range(n + 1):
+                ixs, bits, pos = lex(n, k)
+                oracle = list(multi_indices(n, k))
+                assert [tuple(i + 1 for i in t) for t in ixs] == oracle
+                assert list(bits) == [bits_of(t)[0] for t in oracle]
+                assert len(pos) == len(oracle)
+                assert all(pos[bits_of(t)[0]] == j for j, t in enumerate(oracle))
+    finally:
+        lex.cache_clear()  # every degree at n = 16 is ~15 MB
+    with pytest.raises(LieKernelError):
+        lex(MAX_DIM + 1, 1)
+
+
+def test_vector_round_trips_through_the_lex_basis(rng):
+    for n in range(1, MAX_DIM + 1):
+        for _ in range(3):
+            k = rng.randint(0, n)
+            terms = list(multi_indices(n, k))
+            form = KForm.from_terms(n, {
+                t: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for t in rng.sample(terms, min(len(terms), 40))}, k)
+            v = form.vector()
+            assert v == tuple(form[t] for t in terms)
+            assert KForm.from_vector(n, k, v) == form
+            assert KVector.from_vector(n, k, v).coeffs == form.coeffs
 
 
 def test_max_dimension_enforced():

@@ -13,7 +13,7 @@ from liekernel.families import (FAMILY_NAMES, FamilySpec, TABLE_EXCLUDED,
                                 has_basis_aligned_split, load_corpus,
                                 make_unimodular_5dim,
                                 seven_dim_characteristically_nilpotent,
-                                trivial23_consequences,
+                                su3, trivial23_consequences,
                                 unimodular_quartic_log_sum)
 from liekernel.parser import serialize, expr_of
 
@@ -248,5 +248,6 @@ def test_corpus_has_required_contents():
     for required in ("h3", "h4", "su2", "su3", "u2", "u5", "cn7_a1", "cn7_a2"):
         assert required in names
     assert corpus_algebra("su3").n == 8
+    assert su3().brackets() == corpus_algebra("su3").brackets()
     with pytest.raises(LieKernelError):
         corpus_algebra("missing")

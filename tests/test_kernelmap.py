@@ -176,9 +176,10 @@ def test_multimoment_errors():
     z3 = cx.cocycles(3)
     kernel = lie_kernel(g)
     from liekernel import KForm, multi_indices
+    from liekernel.exterior import lex
 
-    image_rows = [dP(g, KForm.from_terms(8, {ixs: Fraction(1)}, 2)).vector()
-                  for ixs in kernel.slice_indices()]
+    image_rows = [dP(g, KForm(8, 2, {lex(8, 2)[1][c]: Fraction(1)})).vector()
+                  for c in kernel.slice]
     image = Subspace(len(list(multi_indices(8, 3))), image_rows)
     outside = next(KForm.from_vector(8, 3, row) for row in z3.basis
                    if not image.contains(row))

@@ -206,3 +206,43 @@ def test_matrix_lie_algebra_structure(h3):
     # Der(h3) = gl(2) acting on the generators plus inner parts: not nilpotent
     assert not der.is_nilpotent()
     assert not der.is_solvable()
+
+
+def _unit_matrix(r, s):
+    return [[int((i, j) == (r - 1, s - 1)) for j in range(3)] for i in range(3)]
+
+
+def _rotation(a, b):
+    """E_ab - E_ba."""
+    return [[x - y for x, y in zip(u, v)]
+            for u, v in zip(_unit_matrix(a, b), _unit_matrix(b, a))]
+
+
+@pytest.mark.parametrize("order, expected", [
+    ("XYZ", {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}}),
+    ("ZYX", {(1, 2): {3: -1}, (1, 3): {2: 1}, (2, 3): {1: -1}}),
+])
+def test_matrix_lie_algebra_reports_the_given_basis(order, expected):
+    # so(3) with [X, Y] = Z, [Y, Z] = X, [Z, X] = Y; the echelon basis of
+    # the span is (-Z, Y, -X), not the given basis in either order
+    so3 = {"X": _rotation(3, 2), "Y": _rotation(1, 3), "Z": _rotation(2, 1)}
+    matrices = [so3[name] for name in order]
+    g = matrix_lie_algebra(matrices)
+    assert g.brackets() == expected
+    for (i, j), comps in g.brackets().items():
+        assert matrix_commutator(matrices[i - 1], matrices[j - 1]) == [
+            tuple(sum(q * matrices[k - 1][r][s] for k, q in comps.items())
+                  for s in range(3)) for r in range(3)]
+
+
+def test_from_brackets_stores_the_sparse_constants_in_ascending_k():
+    g = LieAlgebra.from_brackets(3, {(1, 2): {3: 1, 1: 2}})
+    assert list(g.sc[0][1].items()) == [(0, 2), (2, 1)]
+    assert list(g.sc[1][0].items()) == [(0, -2), (2, -1)]
+    assert not any(g.sc[i][j] for i in range(3) for j in range(3)
+                   if {i, j} != {0, 1})
+    dense = LieAlgebra(g.c)
+    assert dense.sc == g.sc and dense.c == g.c
+    assert g.c[0][1] == (2, 0, 1) and g.c[1][0] == (-2, 0, -1)
+    with pytest.raises(AttributeError):
+        g.c = dense.c
