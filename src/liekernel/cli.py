@@ -5,6 +5,12 @@ deterministic JSON report with --json: keys are sorted, rationals are
 rendered as "p/q" strings, and floating results carry an explicit mode
 and tolerance field.  Exit codes: 0 success, 1 domain error (JSON error
 object on stdout), 2 usage error.
+
+Importing this module loads only what argument parsing and the report
+need: `errors` and `parser` with its `exterior`, `liealg` and `linalg`.
+Each `cmd_*` imports the rest of what it uses when it runs, so a process
+loads `cohomology`, `kernelmap`, `families`, `g2flow` or `corpus` only
+when its subcommand reaches them.
 """
 
 from __future__ import annotations
@@ -19,20 +25,8 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import corpus as corpus_mod
-from .cohomology import betti, complex_of, is_23_trivial
 from .errors import LieKernelError, ParseError
 from .exterior import KForm, hodge_star
-from .families import (GradedNilpotent, graded_extension,
-                       load_corpus, trivial23_consequences,
-                       unimodular_quartic_log_sum, verify_tables)
-from .g2flow import (completeness_classify, dga_verify_torsion_free,
-                     flow_closed_form, flow_integrate, flow_order_study,
-                     g2t2_decompose, max_interval, metric_from_phi, phi0,
-                     reconstruct_phi, reconstruct_star_phi,
-                     rk4_stepper_order_selftest, star_phi0)
-from .kernelmap import (dP, dP_properties, lie_kernel, multimoment_value,
-                        orbit_2plectic_check, pdual)
 from .liealg import LieAlgebra
 from .linalg import identity
 from .parser import (expr_of, parse, parse_binding, parse_form, parse_rational,
@@ -137,6 +131,8 @@ def cmd_parse(args):
 
 
 def cmd_betti(args):
+    from .cohomology import betti
+
     g = _algebra(args)
     rep = betti(g)
     return _emit(args, {
@@ -147,12 +143,16 @@ def cmd_betti(args):
 
 
 def cmd_check23(args):
+    from .cohomology import complex_of
+
     cx = complex_of(_algebra(args))
     b2, b3 = cx.betti_number(2), cx.betti_number(3)
     return _emit(args, {"is_23_trivial": b2 == b3 == 0, "b2": b2, "b3": b3})
 
 
 def cmd_kernel(args):
+    from .kernelmap import dP_properties, lie_kernel
+
     g = _algebra(args)
     kernel = lie_kernel(g)
     formula = kernel.complex.betti_number(1) + g.n * (g.n - 3) // 2
@@ -169,6 +169,8 @@ def cmd_kernel(args):
 
 
 def cmd_structure(args):
+    from .cohomology import betti, is_23_trivial
+
     g = _algebra(args)
     rep = betti(g)
     result = {
@@ -181,6 +183,8 @@ def cmd_structure(args):
         "is_23_trivial": is_23_trivial(g),
     }
     if result["is_23_trivial"] and g.n >= 2:
+        from .families import trivial23_consequences
+
         result["trivial23_consequences"] = trivial23_consequences(g)
     return _emit(args, result)
 
@@ -196,6 +200,8 @@ def cmd_derivations(args):
 
 
 def cmd_tables(args):
+    from .families import unimodular_quartic_log_sum, verify_tables
+
     report = verify_tables()
     log_err, roots = unimodular_quartic_log_sum()
     report["quartic_roots"] = roots
@@ -204,6 +210,9 @@ def cmd_tables(args):
 
 
 def cmd_extend(args):
+    from .cohomology import is_23_trivial
+    from .families import GradedNilpotent, graded_extension
+
     g = _algebra(args)
     extension = graded_extension(GradedNilpotent(g, args.grading))
     return _emit(args, {
@@ -214,6 +223,8 @@ def cmd_extend(args):
 
 
 def cmd_mmmap(args):
+    from .kernelmap import dP, multimoment_value
+
     g = _algebra(args)
     psi = parse_form(args.psi, g.n, 3)
     beta = multimoment_value(g, psi)
@@ -225,6 +236,8 @@ def cmd_mmmap(args):
 
 
 def cmd_orbit(args):
+    from .kernelmap import dP, orbit_2plectic_check, pdual
+
     g = _algebra(args)
     beta = pdual(g, parse_form(args.beta, g.n, 2))
     check = orbit_2plectic_check(g, beta)
@@ -238,6 +251,10 @@ def cmd_orbit(args):
 
 
 def cmd_g2_verify(args):
+    from .g2flow import (dga_verify_torsion_free, g2t2_decompose,
+                         metric_from_phi, phi0, reconstruct_phi,
+                         reconstruct_star_phi, star_phi0)
+
     p0, s0 = phi0(), star_phi0()
     result = {
         "star_phi0_matches_hodge": hodge_star(p0) == s0,
@@ -279,6 +296,10 @@ def _trajectory_csv(path):
 
 
 def cmd_g2_flow(args):
+    from .g2flow import (completeness_classify, flow_closed_form,
+                         flow_integrate, flow_order_study,
+                         max_interval, rk4_stepper_order_selftest)
+
     f_mat = args.F
     lo, hi = max_interval(f_mat)
     t_end = args.t_end
@@ -321,8 +342,11 @@ def cmd_g2_flow(args):
 
 
 def cmd_corpus(args):
-    suite = corpus_mod.run_corpus_suite(load_corpus(args.fixture or None),
-                                        triples=args.triples)
+    from .corpus import run_corpus_suite
+    from .families import load_corpus
+
+    suite = run_corpus_suite(load_corpus(args.fixture or None),
+                             triples=args.triples)
     failures = {
         name: [k for k, v in checks.items() if not v]
         for name, checks in suite["algebras"].items()

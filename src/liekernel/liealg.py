@@ -276,21 +276,23 @@ class LieAlgebra:
         Rows of the returned subspace are matrices flattened row-major.
         """
         self.validate()
-        n, c = self.n, self.c
+        n, br = self.n, self.scaled_brackets()[1]
         rows = []
-        # unknowns D[a][b], flattened index a*n + b
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    coeff = [Fraction(0)] * (n * n)
-                    # [De_i, e_j]_k = sum_a D[a][i] c[a][j][k]
-                    for a in range(n):
-                        coeff[a * n + i] += c[a][j][k]
-                        coeff[a * n + j] += c[i][a][k]
-                    # -(D[e_i,e_j])_k = -sum_b c[i][j][b] D[k][b]
-                    for b in range(n):
-                        coeff[k * n + b] -= c[i][j][b]
-                    rows.append(tuple(coeff))
+        # unknowns D[a][b], flattened index a*n + b; one integer dict row
+        # per (i < j, k), the equation times D, from the nonzero constants
+        for i, j in combinations(range(n), 2):
+            eqs: list[dict[int, int]] = [{} for _ in range(n)]
+            for a in range(n):
+                # [De_i, e_j]_k = sum_a D[a][i] c[a][j][k], likewise for j
+                for k, q in br[a][j].items():
+                    eqs[k][a * n + i] = eqs[k].get(a * n + i, 0) + q
+                for k, q in br[i][a].items():
+                    eqs[k][a * n + j] = eqs[k].get(a * n + j, 0) + q
+            # -(D[e_i,e_j])_k = -sum_b c[i][j][b] D[k][b]
+            for k, eq in enumerate(eqs):
+                for b, q in br[i][j].items():
+                    eq[k * n + b] = eq.get(k * n + b, 0) - q
+            rows.extend(eqs)
         return Subspace(n * n, nullspace(rows, n * n))
 
     def derivation_matrices(self) -> list[list[Vector]]:
@@ -310,7 +312,14 @@ class LieAlgebra:
         """
         if not self.is_nilpotent():
             raise LieKernelError("characteristic nilpotency needs a nilpotent input")
-        matrices = self.derivation_matrices()
+        # each basis matrix times the lcm of its denominators, in integers:
+        # a nonzero multiple of a matrix is nilpotent exactly when it is,
+        # and rescaling a basis keeps its span
+        n, matrices = self.n, []
+        for row in self.derivation_algebra().basis:
+            flat = clear_denominators(dict(enumerate(row)))[1]
+            matrices.append([tuple(flat[a * n + b] for b in range(n))
+                             for a in range(n)])
         if not all(is_nilpotent_matrix(m) for m in matrices):
             return False
         der = matrix_lie_algebra(matrices, name="Der")
@@ -325,7 +334,7 @@ def matrix_commutator(a, b):
     n = len(a)
     return [
         tuple(
-            sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), Fraction(0))
+            sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
         for j in range(n))
         for i in range(n)
     ]
@@ -362,12 +371,12 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
 
 def is_nilpotent_matrix(m) -> bool:
     n = len(m)
-    power = [list(map(Fraction, row)) for row in m]
+    power = m
     for _ in range(n):
         if all(all(x == 0 for x in row) for row in power):
             return True
         power = [
-            [sum((power[i][k] * Fraction(m[k][j]) for k in range(n)), Fraction(0))
+            [sum(power[i][k] * m[k][j] for k in range(n))
              for j in range(n)]
             for i in range(n)
         ]

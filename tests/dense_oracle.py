@@ -13,7 +13,11 @@ as an antiderivation in `Fraction`s; and the CE rows built from that d, one
 wrote them before every one went through `from_brackets`: the direct sum,
 the subalgebra on a closed subspace and the graded extension, each filling
 both antisymmetric halves of a dense n x n x n tensor, and the search for a
-basis-aligned split over all 2^n masks.  The tests compare the two.
+basis-aligned split over all 2^n masks; and the derivation algebra as
+`LieAlgebra` solved it before it read the sparse integer constants, one
+dense row per (i < j, k) from c, with characteristic nilpotency tested on
+its `Fraction` basis matrices, every product summed from `Fraction(0)`.
+The tests compare the two.
 """
 
 from fractions import Fraction
@@ -22,9 +26,9 @@ from math import comb, gcd
 from liekernel.cohomology import extend_as_derivation
 from liekernel.exterior import (KForm, KVector, bits_of, multi_indices,
                                 vector_of, wedge)
-from liekernel.errors import SubspaceError
+from liekernel.errors import LieKernelError, SubspaceError
 from liekernel.kernelmap import DPProperties
-from liekernel.liealg import LieAlgebra
+from liekernel.liealg import LieAlgebra, matrix_lie_algebra
 from liekernel.linalg import Subspace, nullspace, transpose
 
 
@@ -247,3 +251,66 @@ def has_basis_aligned_split(c):
            all(not c[i][j][k] for i in right for j in right for k in left):
             return True
     return False
+
+
+def derivation_algebra(g):
+    """Solution space of D[x,y] = [Dx,y] + [x,Dy], matrices flattened
+    row-major, one dense row per (i < j, k) from the dense c."""
+    g.validate()
+    n, c = g.n, g.c
+    rows = []
+    # unknowns D[a][b], flattened index a*n + b
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                coeff = [Fraction(0)] * (n * n)
+                # [De_i, e_j]_k = sum_a D[a][i] c[a][j][k]
+                for a in range(n):
+                    coeff[a * n + i] += c[a][j][k]
+                    coeff[a * n + j] += c[i][a][k]
+                # -(D[e_i,e_j])_k = -sum_b c[i][j][b] D[k][b]
+                for b in range(n):
+                    coeff[k * n + b] -= c[i][j][b]
+                rows.append(tuple(coeff))
+    return Subspace(n * n, nullspace(rows, n * n))
+
+
+def derivation_matrices(g):
+    n = g.n
+    return [[tuple(row[a * n + b] for b in range(n)) for a in range(n)]
+            for row in derivation_algebra(g).basis]
+
+
+def matrix_commutator(a, b):
+    n = len(a)
+    return [
+        tuple(
+            sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), Fraction(0))
+        for j in range(n))
+        for i in range(n)
+    ]
+
+
+def is_nilpotent_matrix(m) -> bool:
+    n = len(m)
+    power = [list(map(Fraction, row)) for row in m]
+    for _ in range(n):
+        if all(all(x == 0 for x in row) for row in power):
+            return True
+        power = [
+            [sum((power[i][k] * Fraction(m[k][j]) for k in range(n)), Fraction(0))
+             for j in range(n)]
+            for i in range(n)
+        ]
+    return all(all(x == 0 for x in row) for row in power)
+
+
+def is_characteristically_nilpotent(g) -> bool:
+    """All derivations nilpotent, on the Fraction basis matrices."""
+    if not g.is_nilpotent():
+        raise LieKernelError("characteristic nilpotency needs a nilpotent input")
+    matrices = derivation_matrices(g)
+    if not all(is_nilpotent_matrix(m) for m in matrices):
+        return False
+    der = matrix_lie_algebra(matrices, name="Der")
+    return der is None or der.is_nilpotent()

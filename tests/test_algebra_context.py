@@ -7,7 +7,9 @@ numbers read off the cached complex, are compared against the dense
 constructions in `dense_oracle` on permuted, rescaled direct sums of corpus
 fixtures, also under unimodular changes of basis; so are the direct sum,
 subalgebra and graded extension built through `from_brackets`,
-`is_unimodular` and the union-find split test.  The cached complex and
+`is_unimodular` and the union-find split test; so are the derivation
+algebra from the integer constants and characteristic nilpotency on its
+integer basis matrices.  The cached complex and
 kernel are checked for identity, for not outliving their algebra, and the
 complex for being the only one the corpus checks build.
 """
@@ -15,7 +17,7 @@ complex for being the only one the corpus checks build.
 import gc
 import weakref
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,10 +29,11 @@ from liekernel.corpus import check_algebra
 from liekernel.errors import JacobiError
 from liekernel.exterior import KForm, KVector, multi_indices
 from liekernel.families import (GradedNilpotent, graded_extension,
-                                has_basis_aligned_split, load_corpus, su3)
+                                has_basis_aligned_split, load_corpus,
+                                seven_dim_characteristically_nilpotent, su3)
 from liekernel.kernelmap import (LieKernel, ad_multivector, dP, dP_properties,
                                  lie_kernel, multimoment_value, pdual)
-from liekernel.liealg import LieAlgebra
+from liekernel.liealg import LieAlgebra, is_nilpotent_matrix, matrix_commutator
 from liekernel.linalg import Subspace, inverse, mat_vec, rank, transpose
 
 from conftest import random_form
@@ -152,6 +155,50 @@ def test_integer_d_and_ad_multivector_match_the_dense_oracle(g, data):
                 ixs: data.draw(coeffs) for ixs in multi_indices(g.n, k)}, k)
             assert ad_multivector(g, z, p) == \
                 dense_oracle.ad_multivector(g.c, z, p)
+
+
+CORPUS = {e.name: e.algebra for e in load_corpus()}
+
+
+@pytest.mark.parametrize("g", [*CORPUS.values(), su3()],
+                         ids=[*CORPUS, "su3()"])
+def test_derivation_algebra_matches_the_dense_oracle(g):
+    assert g.derivation_algebra() == dense_oracle.derivation_algebra(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(algebras())
+def test_derivation_algebra_matches_the_dense_oracle_in_a_rescaled_basis(g):
+    assert g.derivation_algebra() == dense_oracle.derivation_algebra(g)
+
+
+def _integer_multiple(m):
+    scale = lcm(*(q.denominator for row in m for q in row))
+    return scale, [tuple(int(q * scale) for q in row) for row in m]
+
+
+@pytest.mark.parametrize("g", [
+    *(g for g in CORPUS.values() if g.is_nilpotent()),
+    seven_dim_characteristically_nilpotent(1),
+    seven_dim_characteristically_nilpotent(2),
+    parse_algebra("(0)"), parse_algebra("(0,0,12)"),
+], ids=[*(t for t, g in CORPUS.items() if g.is_nilpotent()),
+        "cn7(1)", "cn7(2)", "(0)", "(0,0,12)"])
+def test_characteristic_nilpotency_matches_the_dense_oracle(g):
+    assert g.is_characteristically_nilpotent() == \
+        dense_oracle.is_characteristically_nilpotent(g)
+    mats = dense_oracle.derivation_matrices(g)
+    scaled = [_integer_multiple(m) for m in mats]
+    for m, (_, im) in zip(mats, scaled):
+        assert all(type(x) is int for row in im for x in row)
+        assert is_nilpotent_matrix(im) == dense_oracle.is_nilpotent_matrix(m)
+    for (a, (sa, ia)), (b, (sb, ib)) in zip(zip(mats, scaled),
+                                            zip(mats[1:], scaled[1:])):
+        comm = matrix_commutator(ia, ib)
+        assert all(type(x) is int for row in comm for x in row)
+        assert comm == [tuple(sa * sb * x for x in row)
+                        for row in dense_oracle.matrix_commutator(a, b)]
+        assert matrix_commutator(a, b) == dense_oracle.matrix_commutator(a, b)
 
 
 SUMMANDS = {e.name: e for e in load_corpus() if e.algebra.n <= 5}

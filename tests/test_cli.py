@@ -304,10 +304,15 @@ sys.exit(main())
 """
 
 
-def test_float_paths_run_on_the_standard_library_alone():
+def _child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(liekernel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_float_paths_run_on_the_standard_library_alone():
+    env = _child_env()
     for argv in (["tables"], ["g2-verify", "--F", "0,1,0,0"],
                  ["g2-flow", "--F", "0,1,0,0", "--compare-closed-form"]):
         proc = subprocess.run(
@@ -315,6 +320,62 @@ def test_float_paths_run_on_the_standard_library_alone():
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["schema"] == "liekernel-report/1"
+
+
+LOADED_MODULES = """
+import contextlib, io, sys
+from liekernel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:] + ["--json"])
+print(code, *sorted(m for m in sys.modules if m.startswith("liekernel.")))
+"""
+
+
+def test_each_subcommand_imports_only_its_own_modules(tmp_path):
+    fixture = tmp_path / "one.lie"
+    fixture.write_text("(0,0,12)  # name=h3\n", encoding="utf-8")
+    argvs = {
+        "parse": ["(0,21,l.31)"],
+        "betti": ["(0,0,12)"],
+        "check23": ["(0,0,12)"],
+        "kernel": ["(0,0,12)"],
+        "structure": ["(0,21,1/2.31)"],  # (2,3)-trivial: reads families
+        "derivations": ["(0,0,12)"],
+        "tables": [],
+        "extend": ["(0,0,12)", "--grading", "1,1,2"],
+        "mmmap": ["(0,21,1/2.31)", "--psi", "123"],
+        "orbit": ["(0,34,-24,23)", "--beta", "12"],
+        "g2-verify": [],
+        "g2-flow": ["--F", "0,1,0,0", "--step", "0.5"],
+        "corpus": ["--fixture", str(fixture), "--triples", "1"],
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(argvs) == set(sub.choices)
+    env, loaded = _child_env(), {}
+    for command, args in argvs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, command, *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        code, *modules = proc.stdout.split()
+        assert code == "0", (command, proc.stdout, proc.stderr)
+        loaded[command] = {m.removeprefix("liekernel.") for m in modules}
+    for command, modules in loaded.items():
+        assert ("g2flow" in modules) == command.startswith("g2-"), command
+        assert ("corpus" in modules) == (command == "corpus"), command
+        if command in ("parse", "betti", "check23", "kernel", "mmmap",
+                       "orbit", "derivations", "g2-verify", "g2-flow"):
+            assert "families" not in modules, command
+        if command in ("parse", "betti", "check23", "structure",
+                       "derivations", "tables", "extend", "g2-verify",
+                       "g2-flow"):
+            assert "kernelmap" not in modules, command
+    assert "families" in loaded["structure"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, liekernel; print(*sorted("
+         "m for m in sys.modules if m.startswith('liekernel.')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == []
 
 
 def test_moment_error_exit_code(capsys):
