@@ -7,14 +7,16 @@ the alternating-sum formula
 packaged degree by degree, and d o d = 0 is exactly the Jacobi identity.
 The differential matrices are kept as sparse integer rows of D d_k, with D
 the common denominator of the structure constants (`CEComplex.scale`),
-built straight from the scaled constants with bitmask signs, rows and
-columns in the lex basis of `exterior.lex`.  Ranks, pivots, cocycles and
-coboundaries are the same at any scale, so they read these rows as they
+built by `exterior.derivation_rows` from the integer images D de^m, rows
+and columns in the lex basis of `exterior.lex`.  Ranks, pivots, cocycles
+and coboundaries are the same at any scale, so they read these rows as they
 are; the readers of the matrix itself, `ce_differential` and
 `LieKernel.dP_rows`, divide by D.  `CEComplex.d` applies these rows to a
 form's int numerators and divides once per entry.  Ranks are taken by exact
 sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
 rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
+The Lie derivative L_a = -ad_a^* goes through the same kernel, by
+`exterior.extend_as_derivation`.
 """
 
 from __future__ import annotations
@@ -23,39 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import SubspaceError
-from .exterior import KForm, indices_of, lex, wedge_sign
+from .errors import DimensionMismatch, SubspaceError
+from .exterior import KForm, derivation_rows, extend_as_derivation, lex
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
                      transpose, vec)
-
-
-def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
-    """Extend a map on basis one-forms to Lambda^k by the (anti)derivation rule.
-
-    ``images[i]`` is the image of e_{i+1}; for image_degree 2 this is the
-    signed Leibniz rule of an antiderivation, for image_degree 1 a plain
-    derivation (no alternating sign).
-    """
-    acc: dict[int, object] = {}
-    for bits, coeff in form.coeffs.items():
-        ixs = indices_of(bits)
-        for pos, i in enumerate(ixs):
-            img = images[i - 1]
-            if img.is_zero():
-                continue
-            rest = bits ^ (1 << (i - 1))
-            # Leibniz alternation combined with moving the image form to the
-            # front is (-1)^pos for any image degree.
-            signed = -coeff if pos % 2 == 1 else coeff
-            for ib, ic in img.coeffs.items():
-                s = wedge_sign(ib, rest)
-                if s == 0:
-                    continue
-                c = signed * ic if s > 0 else -(signed * ic)
-                key = ib | rest
-                acc[key] = acc[key] + c if key in acc else c
-    return type(form)(form.n, form.k + image_degree - 1, acc)
 
 
 class CEComplex:
@@ -72,14 +46,12 @@ class CEComplex:
         self._jacobi = validate  # so d o d = 0, which d_rank relies on
         self.n = n = algebra.n
         self.scale, br = algebra.scaled_brackets()
-        # D de^m = -sum_{a<b} D c^m_ab e_ab, each term with the bits
-        # strictly between a and b
-        self._terms: list[list] = [[] for _ in range(n)]
+        # D de^m = -sum_{a<b} D c^m_ab e_ab
+        self._images: list[dict] = [{} for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
-                ab, between = (1 << a) | (1 << b), (1 << b) - (2 << a)
                 for m, q in br[a][b].items():
-                    self._terms[m].append((ab, between, -q))
+                    self._images[m][(1 << a) | (1 << b)] = -q
         self._rows: dict[int, list] = {}
         self._rank: dict[int, int] = {}
         self._pivots: dict[int, set] = {}
@@ -88,8 +60,8 @@ class CEComplex:
 
     def d(self, form: KForm) -> KForm:
         """d of a form with int or Fraction coefficients, by `d_rows`."""
-        if form.n != self.n:
-            raise SubspaceError("form lives on a different algebra")
+        if not isinstance(form, KForm) or form.n != self.n:
+            raise DimensionMismatch("d needs a form on the algebra")
         k = form.k
         scale, nums = clear_denominators(form.coeffs)
         pos, rows = lex(self.n, k)[2], self.d_rows(k)
@@ -105,23 +77,10 @@ class CEComplex:
         """Sparse integer row i = {j: D times the coefficient of e_J_j in
         d(e_I_i)}, lex indices, D = `scale`."""
         if k not in self._rows:
-            terms, col = self._terms, lex(self.n, k + 1)[2]
-            rows = []
-            for ixs, bits in zip(*lex(self.n, k)[:2]):
-                acc: dict[int, int] = {}
-                for pos, m in enumerate(ixs):
-                    rest = bits ^ (1 << m)
-                    # e_ab ^ e_rest = (-1)^{#rest between a and b} e_{ab|rest},
-                    # after (-1)^pos to move d(e^m) to the front
-                    for ab, between, v in terms[m]:
-                        if ab & rest:
-                            continue
-                        if ((rest & between).bit_count() + pos) & 1:
-                            v = -v
-                        key = ab | rest
-                        acc[key] = acc.get(key, 0) + v
-                rows.append({col[b]: v for b, v in acc.items() if v})
-            self._rows[k] = rows
+            col = lex(self.n, k + 1)[2]
+            self._rows[k] = [
+                {col[b]: v for b, v in row.items() if v} for row in
+                derivation_rows(self._images, zip(*lex(self.n, k)[:2]))]
         return self._rows[k]
 
     def unscale(self, rows: list[dict]) -> list[dict]:
@@ -230,16 +189,12 @@ def is_23_trivial(g: LieAlgebra) -> bool:
     return cx.betti_number(2) == 0 and cx.betti_number(3) == 0
 
 
-def lie_derivative_images(ad) -> list[KForm]:
-    """Images of the dual basis one-forms under L = -ad^*, where ad[i][j] is
-    the e_i-coefficient of the image of e_j."""
-    m = len(ad)
-    return [KForm(m, 1, {1 << i: -ad[j][i] for i in range(m) if ad[j][i]})
-            for j in range(m)]
-
-
 def lie_derivative(g: LieAlgebra, a, form: KForm) -> KForm:
-    return extend_as_derivation(lie_derivative_images(g.ad(a)), form, 1)
+    """L_a form, L_a = -ad_a^* extended as a derivation."""
+    if not isinstance(form, KForm) or form.n != g.n:
+        raise DimensionMismatch("lie_derivative needs a form on the algebra")
+    images = [{1 << i: -q for i, q in enumerate(row) if q} for row in g.ad(a)]
+    return KForm(g.n, form.k, extend_as_derivation(images, form.coeffs))
 
 
 def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
@@ -267,17 +222,20 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
         if coords is None:
             raise SubspaceError("[a, ideal] is not contained in the ideal")
         action_rows.append(coords)
-    # [i][j] = e_i-coordinate of [a, v_j]
-    images = lie_derivative_images(transpose(action_rows))
+    # L_a = -ad_a^*: L_a e^j = -sum_i e^j([a, v_i]) e^i
+    images = [{1 << i: -q for i, q in enumerate(row) if q}
+              for row in transpose(action_rows)]
 
     cx = complex_of(sub)
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)
+        bits = lex(m, i)[1]
         moved = []
         for z in zc.basis:
-            f = KForm.from_vector(m, i, z)
-            lz = extend_as_derivation(images, f, 1).vector()
+            image = extend_as_derivation(images, {b: q for b, q in
+                                                  zip(bits, z) if q})
+            lz = tuple(image.get(b, 0) for b in bits)
             if not zc.contains(lz):
                 raise SubspaceError("induced action left Z^i; ideal data corrupt")
             moved.append(lz)

@@ -4,10 +4,13 @@ Basis k-forms e_{i1...ik} are keyed by bitmasks of {1..n} (bit i-1 set for
 index i), so all wedge/contraction signs are popcount arithmetic.  `lex`
 decides, once per (n, k), which bitmask sits at which position of the lex
 basis of Lambda^k; every vector, matrix row and column in the package is
-read in that order.  The coefficient ring is duck-typed: anything with +,
--, *, negation and a truthiness zero test works (Fraction everywhere in
-this package, plus polynomials in t for the flow DGA and floats on the
-stated floating paths).
+read in that order.  `derivation_rows` is the one Leibniz rule: the CE
+differential, ad on multivectors, Lie derivatives, contraction and the
+flow DGA's d are each an (anti)derivation given by its images of the
+generators.  The coefficient ring is duck-typed: anything with +, -, *,
+negation and a truthiness zero test works (Fraction everywhere in this
+package, plus polynomials in t for the flow DGA and floats on the stated
+floating paths).
 """
 
 from __future__ import annotations
@@ -258,26 +261,74 @@ def wedge_all(*elements):
     return out
 
 
+def derivation_rows(images, basis) -> list[dict]:
+    """Rows of the (anti)derivation D with D(e_{m+1}) = images[m], a
+    {bits: value} dict; all images of one degree, values in any ring.
+
+    One {bits: value} row per (ixs, bits) of `basis`, pairs as `lex` gives
+    them (ixs 0-based), a value zero where terms cancel:
+    D e_I = sum_{i in I} (-1)^{#I below i} D(e_i) ^ e_{I-i} for every image
+    degree (ad and L_a: 1, d: 2, interior: 0), with e_B ^ e_R =
+    (-1)^{|R & mask(B)|} e_{B|R}, mask(B) the xor of b - 1 over bits b of B.
+    """
+    terms = []
+    for image in images:
+        masked = []
+        for ib, v in image.items():
+            if v:
+                mask, b = 0, ib
+                while b:
+                    low = b & -b
+                    mask ^= low - 1
+                    b ^= low
+                masked.append((ib, mask, v))
+        terms.append(masked)
+    rows = []
+    for ixs, bits in basis:
+        acc: dict[int, object] = {}
+        for below, m in enumerate(ixs):
+            rest = bits ^ (1 << m)
+            for ib, mask, v in terms[m]:
+                if ib & rest:
+                    continue
+                if (below + (rest & mask).bit_count()) & 1:
+                    v = -v
+                key = ib | rest
+                acc[key] = acc.get(key, 0) + v
+        rows.append(acc)
+    return rows
+
+
+def extend_as_derivation(images, coeffs: dict) -> dict:
+    """D of the element {bits: coefficient} of one degree on R^len(images),
+    by `derivation_rows`; a value may be zero where terms cancel."""
+    if not coeffs:
+        return {}
+    ixs, _, pos = lex(len(images), next(iter(coeffs)).bit_count())
+    basis = [(ixs[pos[b]], b) for b in coeffs]
+    used = 0
+    for b in coeffs:
+        used |= b
+    # no masks for the images that no row reads
+    images = [im if used >> m & 1 else {} for m, im in enumerate(images)]
+    acc: dict[int, object] = {}
+    for (_, bits), row in zip(basis, derivation_rows(images, basis)):
+        c = coeffs[bits]
+        for key, v in row.items():
+            acc[key] = acc.get(key, 0) + c * v
+    return acc
+
+
 def interior(v: KVector, a: KForm) -> KForm:
     """Contraction v -| a for degree-1 v; antiderivation of degree -1."""
-    if v.n != a.n:
-        raise DimensionMismatch("contraction across different spaces")
+    if not (isinstance(v, KVector) and isinstance(a, KForm)) or v.n != a.n:
+        raise DimensionMismatch("contraction needs a vector and a form on R^n")
     if v.k != 1:
         raise DimensionMismatch("interior product needs a degree-1 vector")
     if a.k == 0:
         return KForm.zero(a.n, 0)
-    acc: dict[int, object] = {}
-    for vb, vc in v.coeffs.items():
-        for ab, ac in a.coeffs.items():
-            if not ab & vb:
-                continue
-            below = ab & (vb - 1)
-            c = vc * ac
-            if below.bit_count() & 1:
-                c = -c
-            key = ab ^ vb
-            acc[key] = acc[key] + c if key in acc else c
-    return KForm(a.n, a.k - 1, acc)
+    images = [{0: v.coeffs.get(1 << m, 0)} for m in range(a.n)]
+    return KForm(a.n, a.k - 1, extend_as_derivation(images, a.coeffs))
 
 
 def bivector_contract(p: KVector, c: KForm) -> KForm:

@@ -6,7 +6,8 @@ symplectic forms; with curvature coefficients frozen in the initial frame
 coefficient matrix M(t), the wedge matrix Q(t) = M M^T and the conformal
 factor h(t).  The closed-form solution is M = 1 + tA with A = F J, and a
 polynomial-coefficient exterior algebra certifies d phi = 0 = d *phi as
-identities in t.
+identities in t; its spatial d is `exterior.extend_as_derivation` on `Poly`
+images, so the flow needs no CE complex.
 
 Naming: F is always the matrix of curvature coefficients in the frozen
 frame and A = F J its symplectic twist; the two are kept distinct because
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .cohomology import extend_as_derivation
 from .errors import DimensionMismatch, FlowError, G2Error
-from .exterior import (KForm, basis_form, covector_of, interior,
-                       vector_of, wedge, wedge_all)
+from .exterior import (KForm, basis_form, covector_of, extend_as_derivation,
+                       interior, vector_of, wedge, wedge_all)
 from . import linalg
 from .linalg import is_positive_definite, rational_root
 
@@ -637,12 +637,11 @@ class FlowDGA:
         self.sigma0 = -(e(5, 6) + e(4, 7))
         self.omega1 = e(4, 5) + e(6, 7)
         self.omega2 = e(4, 6) - e(5, 7)
-        zero2 = KForm.zero(7, 2)
-        self._images = [
+        images = [
             self.omega1 * self.f[0][0] + self.omega2 * self.f[1][0],
             self.omega1 * self.f[0][1] + self.omega2 * self.f[1][1],
-            zero2, zero2, zero2, zero2, zero2,
         ]
+        self._images = [img.coeffs for img in images] + [{}] * 5
         tp = Poly.t()
         self.m = tuple(
             tuple(Poly.const(int(i == j)) + tp * self.a[i][j] for j in range(2))
@@ -652,12 +651,15 @@ class FlowDGA:
         self.h = (self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0])
         self.sigma1 = self.omega1 * self.m[0][0] + self.omega2 * self.m[0][1]
         self.sigma2 = self.omega1 * self.m[1][0] + self.omega2 * self.m[1][1]
-        for i, img in enumerate(self._images):
+        for i, img in enumerate(images):
             if not self.spatial_d(img).is_zero():
                 raise G2Error(f"d^2 e_{i+1} != 0: DGA configuration bug")
 
     def spatial_d(self, form: KForm) -> KForm:
-        return extend_as_derivation(self._images, form, 2)
+        if not isinstance(form, KForm) or form.n != self.N:
+            raise DimensionMismatch("spatial_d needs a form on R^7")
+        return KForm(self.N, form.k + 1,
+                     extend_as_derivation(self._images, form.coeffs))
 
     def t_derivative(self, form: KForm) -> KForm:
         return form.map_coeffs(lambda p: p.deriv() if isinstance(p, Poly)

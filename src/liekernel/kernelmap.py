@@ -8,9 +8,10 @@ on the slice of lex two-forms off the echelon pivots of B^2; elements are
 stored through the canonical coset representative obtained by reducing
 against that echelon basis, which makes equality decidable and output
 stable.  The matrix of d_P is the rows of d_2 at the slice, and `dP` is
-`CEComplex.d`, which applies the integer rows.  `ad_multivector` reads the
-scaled brackets D c instead, so <d_P alpha, Z ^ p> = -<alpha, ad_Z p>
-checks one against the other.
+`CEComplex.d`, which applies the integer rows.  `ad_multivector` extends
+the columns of `scaled_ad_columns` by the same Leibniz rule, so
+<d_P alpha, Z ^ p> = -<alpha, ad_Z p> checks the CE images D de^m against
+the ad columns.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from math import comb
 
 from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
-from .exterior import (KForm, KVector, indices_of, interior, lex, pairing,
-                       vector_of)
+from .exterior import (KForm, KVector, extend_as_derivation, interior, lex,
+                       pairing, vector_of)
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
                      solve, transpose)
@@ -115,25 +116,11 @@ def ad_multivector(g: LieAlgebra, z, p: KVector) -> KVector:
     if not isinstance(p, KVector) or p.n != g.n:
         raise DimensionMismatch("ad_multivector needs a multivector on g")
     scale, cols = g.scaled_ad_columns(z)
-    cols = [[(1 << m, v) for m, v in col.items() if v] for col in cols]
+    images = [{1 << m: v for m, v in col.items() if v} for col in cols]
     lp, nums = clear_denominators(p.coeffs)
-    acc: dict[int, int] = {}
-    for bits, c in nums.items():
-        for i in indices_of(bits):
-            e_i = 1 << (i - 1)
-            rest = bits ^ e_i
-            below = (rest & (e_i - 1)).bit_count()
-            # (-1)^(#rest below i) moves [z, e_i] to the front, and then
-            # e_m ^ e_rest = (-1)^(#rest below m) e_{m, rest}
-            for bit, v in cols[i - 1]:
-                if bit & rest:
-                    continue
-                if (below + (rest & (bit - 1)).bit_count()) & 1:
-                    v = -v
-                acc[bit | rest] = acc.get(bit | rest, 0) + c * v
     scale *= lp
-    return KVector(g.n, p.k, {b: Fraction(v, scale)
-                              for b, v in acc.items() if v})
+    return KVector(g.n, p.k, {b: Fraction(v, scale) for b, v in
+                              extend_as_derivation(images, nums).items()})
 
 
 @dataclass(frozen=True)

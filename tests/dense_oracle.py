@@ -17,19 +17,49 @@ basis-aligned split over all 2^n masks; and the derivation algebra as
 `LieAlgebra` solved it before it read the sparse integer constants, one
 dense row per (i < j, k) from c, with characteristic nilpotency tested on
 its `Fraction` basis matrices, every product summed from `Fraction(0)`.
+The `KForm`-typed (anti)derivation extension, as `cohomology` applied
+it before every derivation of the exterior algebra went through
+`exterior.derivation_rows`, with its own signs from `wedge_sign`.
 The tests compare the two.
 """
 
 from fractions import Fraction
 from math import comb, gcd
 
-from liekernel.cohomology import extend_as_derivation
-from liekernel.exterior import (KForm, KVector, bits_of, multi_indices,
-                                vector_of, wedge)
+from liekernel.exterior import (KForm, KVector, bits_of, indices_of,
+                                multi_indices, vector_of, wedge, wedge_sign)
 from liekernel.errors import LieKernelError, SubspaceError
 from liekernel.kernelmap import DPProperties
 from liekernel.liealg import LieAlgebra, matrix_lie_algebra
 from liekernel.linalg import Subspace, nullspace, transpose
+
+
+def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
+    """Extend a map on basis one-forms to Lambda^k by the (anti)derivation rule.
+
+    ``images[i]`` is the image of e_{i+1}; for image_degree 2 this is the
+    signed Leibniz rule of an antiderivation, for image_degree 1 a plain
+    derivation (no alternating sign).
+    """
+    acc: dict[int, object] = {}
+    for bits, coeff in form.coeffs.items():
+        ixs = indices_of(bits)
+        for pos, i in enumerate(ixs):
+            img = images[i - 1]
+            if img.is_zero():
+                continue
+            rest = bits ^ (1 << (i - 1))
+            # Leibniz alternation combined with moving the image form to the
+            # front is (-1)^pos for any image degree.
+            signed = -coeff if pos % 2 == 1 else coeff
+            for ib, ic in img.coeffs.items():
+                s = wedge_sign(ib, rest)
+                if s == 0:
+                    continue
+                c = signed * ic if s > 0 else -(signed * ic)
+                key = ib | rest
+                acc[key] = acc[key] + c if key in acc else c
+    return type(form)(form.n, form.k + image_degree - 1, acc)
 
 
 def _units(n):

@@ -370,6 +370,8 @@ def test_each_subcommand_imports_only_its_own_modules(tmp_path):
                        "derivations", "tables", "extend", "g2-verify",
                        "g2-flow"):
             assert "kernelmap" not in modules, command
+        if command in ("parse", "derivations", "g2-verify", "g2-flow"):
+            assert "cohomology" not in modules, command
     assert "families" in loaded["structure"]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, liekernel; print(*sorted("

@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from conftest import random_form
-from liekernel import (CEComplex, LieAlgebra, Subspace, betti,
-                       ce_differential, evaluate, invariant_cohomology_dims,
-                       is_23_trivial, lie_derivative, multi_indices,
-                       parse_algebra)
-from liekernel.errors import SubspaceError
+from liekernel import (CEComplex, LieAlgebra, Subspace, basis_form,
+                       basis_vector, betti, ce_differential, complex_of,
+                       evaluate, invariant_cohomology_dims, is_23_trivial,
+                       lie_derivative, multi_indices, parse_algebra)
+from liekernel.errors import DimensionMismatch, SubspaceError
 from liekernel.families import (FAMILY_NAMES, TABLE_EXCLUDED, TABLE_GRIDS,
                                 FamilySpec, _make_family_unchecked, load_corpus,
                                 su3)
@@ -178,6 +178,25 @@ def test_lie_derivative_is_cartan_formula(rng):
         av = vector_of(4, a)
         cartan = cx.d(interior(av, f)) + interior(av, cx.d(f))
         assert lie_derivative(g, a, f) == cartan
+
+
+@pytest.mark.parametrize("arg", [basis_vector(3, 3), basis_form(4, 1, 4),
+                                 basis_form(2, 2), basis_vector(3, 2)])
+def test_d_and_lie_derivative_take_only_forms_on_the_algebra(arg):
+    g = parse_algebra("(0,0,12)")
+    with pytest.raises(DimensionMismatch):
+        complex_of(g).d(arg)
+    with pytest.raises(DimensionMismatch):
+        lie_derivative(g, (1, 0, 0), arg)
+
+
+def test_lie_derivative_takes_int_fraction_and_float_coefficients():
+    g = parse_algebra("(0,21,1/2.31)")
+    f = basis_form(3, 2, 3)
+    assert lie_derivative(g, (1, 0, 0), f) == f * Fraction(-3, 2)
+    assert lie_derivative(g, (1, 0, 0), f * 2).coeffs == {0b110: -3}
+    (value,) = lie_derivative(g, (1, 0, 0), f * 0.5).coeffs.values()
+    assert type(value) is float and value == -0.75
 
 
 def test_invariant_cohomology_r3_half():

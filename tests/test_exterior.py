@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from conftest import random_form
-from liekernel import (KForm, KVector, basis_form, basis_vector,
+from liekernel import (KForm, KVector, Poly, basis_form, basis_vector,
                        bivector_contract, evaluate, hodge_star, interior,
                        pairing, pullback, vector_of, wedge)
-from liekernel.exterior import MAX_DIM, bits_of, lex, multi_indices
+from liekernel.exterior import (MAX_DIM, bits_of, derivation_rows,
+                                extend_as_derivation, lex, multi_indices)
 from liekernel.errors import DimensionMismatch, HodgeError, LieKernelError
 
 
@@ -61,6 +64,75 @@ def test_interior_is_antiderivation(rng):
 def phi0_form():
     return (e(1, 2, 3) + wedge(e(1), e(4, 5) + e(6, 7))
             + wedge(e(2), e(4, 6) - e(5, 7)) - wedge(e(3), e(4, 7) + e(5, 6)))
+
+
+@pytest.mark.parametrize("v, a", [(E(1), E(1, 2)), (e(1), e(1, 2)),
+                                  (E(1), basis_form(3, 1, 2))])
+def test_interior_takes_a_vector_and_a_form_on_one_space(v, a):
+    with pytest.raises(DimensionMismatch):
+        interior(v, a)
+
+
+def test_interior_matches_brute_force_evaluation(rng):
+    # (v -| a)(w_1..w_{k-1}) = a(v, w_1..w_{k-1}) by minor expansion
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        a = random_form(rng, n, k)
+        v, *ws = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                  for _ in range(k)]
+        assert evaluate(interior(vector_of(n, v), a), *ws) == evaluate(a, v, *ws)
+
+
+RINGS = {
+    "int": lambda p, q: p,
+    "Fraction": lambda p, q: Fraction(p, q),
+    "Poly": lambda p, q: Poly((p, Fraction(q, 2))),
+}
+
+
+@st.composite
+def derivations(draw):
+    """(n, image degree, images, k, element) with values in one ring."""
+    n = draw(st.integers(1, 10))
+    degree = draw(st.sampled_from([d for d in (1, 2) if d <= n]))
+    value = st.builds(RINGS[draw(st.sampled_from(sorted(RINGS)))],
+                      st.integers(-3, 3), st.integers(1, 3))
+    image_bits = st.sampled_from(lex(n, degree)[1])
+    images = [draw(st.dictionaries(image_bits, value, max_size=4))
+              for _ in range(n)]
+    k = draw(st.integers(0, n))
+    element = draw(st.dictionaries(st.sampled_from(lex(n, k)[1]), value,
+                                   max_size=6))
+    return n, degree, images, k, element
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivations())
+def test_derivation_kernel_matches_the_kform_oracle(case):
+    n, degree, images, k, element = case
+    forms = [KForm(n, degree, img) for img in images]
+
+    def oracle(coeffs):
+        return dense_oracle.extend_as_derivation(forms, KForm(n, k, coeffs),
+                                                 degree)
+
+    out = KForm(n, k + degree - 1, extend_as_derivation(images, element))
+    assert out == oracle(element)
+    ixs, bits, _ = lex(n, k)
+    for b, row in zip(bits, derivation_rows(images, zip(ixs, bits))):
+        unit = extend_as_derivation(images, {b: 1})
+        assert {t: v for t, v in row.items() if v} == \
+            {t: v for t, v in unit.items() if v} == oracle({b: 1}).coeffs
+
+
+def test_oracle_is_not_the_production_kernel():
+    import liekernel.cohomology
+    import liekernel.exterior
+
+    assert dense_oracle.extend_as_derivation.__module__ == "dense_oracle"
+    assert liekernel.cohomology.extend_as_derivation \
+        is liekernel.exterior.extend_as_derivation
 
 
 def test_interior_e1_phi0():

@@ -5,14 +5,15 @@ import pytest
 import sympy
 
 from liekernel import (CoherentTripleFrame, FlowDGA, Poly, basis_form,
-                       completeness_classify, dga_evolution_identities,
-                       dga_verify_torsion_free, flow_closed_form,
-                       flow_integrate, flow_order_study, g2t2_decompose,
-                       hodge_star, max_interval, metric_from_phi, phi0,
-                       pullback, reconstruct_phi, reconstruct_star_phi,
-                       rk4_stepper_order_selftest, standard_hyperkahler_triple,
-                       star_phi0, su3_structure, vector_of, wedge, wedge_all)
-from liekernel.errors import FlowError, G2Error
+                       basis_vector, completeness_classify,
+                       dga_evolution_identities, dga_verify_torsion_free,
+                       flow_closed_form, flow_integrate, flow_order_study,
+                       g2t2_decompose, hodge_star, max_interval,
+                       metric_from_phi, phi0, pullback, reconstruct_phi,
+                       reconstruct_star_phi, rk4_stepper_order_selftest,
+                       standard_hyperkahler_triple, star_phi0, su3_structure,
+                       vector_of, wedge, wedge_all)
+from liekernel.errors import DimensionMismatch, FlowError, G2Error
 from liekernel.g2flow import halfflat_condition, rk4_integrate
 
 TOP7 = (1, 2, 3, 4, 5, 6, 7)
@@ -470,6 +471,12 @@ def test_dga_d_squared_zero(rng):
         f = random_form(rng, 7, rng.randint(1, 4)).map_coeffs(
             lambda c: Poly([c, c]))
         assert dga.d(dga.d(f)).is_zero()
+
+
+@pytest.mark.parametrize("form", [basis_vector(7, 1), basis_form(4, 1)])
+def test_dga_spatial_d_takes_only_forms_on_r7(form):
+    with pytest.raises(DimensionMismatch):
+        FlowDGA(((0, 1), (0, 0))).spatial_d(form)
 
 
 def test_dga_torsion_free_certificates():
