@@ -6,6 +6,12 @@ rational data, unimodularity against the top Betti number, Hodge duality,
 the structural characterisation of (2,3)-triviality, and the Kunneth
 bookkeeping on direct sums.  Randomness is seeded per algebra name, so
 the report depends only on the entries and the triple count.
+
+The adjoint identity runs in integers on rows built once per algebra: its
+left side reads the cached CE rows D d_2, its right side the integer ad
+seam `kernelmap.scaled_ad`, which `ad_multivector` divides.  `check_algebra`
+asks each structural question of an algebra once and hands the answers to
+the checks that read them.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from math import lcm
 
 from .cohomology import (betti, complex_of, invariant_cohomology_dims,
                          is_23_trivial)
-from .exterior import KForm, KVector, lex, pairing, wedge
+from .exterior import KForm, KVector, lex
 from .families import CorpusEntry, load_corpus, trivial23_consequences
-from .kernelmap import ad_multivector, dP, lie_kernel
+from .kernelmap import dP, lie_kernel, scaled_ad
 from .liealg import LieAlgebra
-from .linalg import identity
+from .linalg import Subspace, identity
 
 
 def _random_form(rng, n: int, k: int) -> KForm:
@@ -45,18 +51,41 @@ def _integral_triple(rng, n: int, basis: list[dict]):
 
 def adjoint_identity_holds(g: LieAlgebra, rng, triples: int) -> bool:
     """<dP alpha, Z ^ p> = -<alpha, ad_Z p> on random rational data, both
-    sides times 6 L, as they are linear in alpha and p (`_integral_triple`).
+    sides times 6 L, as they are linear in alpha and p (`_integral_triple`),
+    in ints: the left side through the rows D d_2 of the cached complex, the
+    right side E ad_Z p from `scaled_ad`, compared as lhs E = rhs D.
     """
-    basis = lie_kernel(g).basis()
+    kernel = lie_kernel(g)
+    basis = kernel.basis()
     scale = lcm(*(q.denominator for b in basis for q in b.coeffs.values()))
     basis = [{bits: q.numerator * (scale // q.denominator)
               for bits, q in b.coeffs.items()} for b in basis]
+    n, d, rows = g.n, kernel.complex.scale, kernel.complex.d_rows(2)
+    pos2, pos3 = lex(n, 2)[2], lex(n, 3)[2]
     for _ in range(triples if basis else 0):
-        alpha, z, p = _integral_triple(rng, g.n, basis)
-        zp = wedge(KVector(g.n, 1, {1 << i: c for i, c in enumerate(z)}), p)
-        lhs = pairing(dP(g, alpha), zp)
-        rhs = -pairing(alpha, ad_multivector(g, z, p))
-        if lhs != rhs:
+        alpha, z, p = _integral_triple(rng, n, basis)
+        # Z ^ p by lex position: e_i ^ e_B = (-1)^{#B below i} e_{B + i}
+        zp: dict[int, int] = {}
+        for i, zi in enumerate(z):
+            if not zi:
+                continue
+            bit = 1 << i
+            for b, c in p.coeffs.items():
+                if not b & bit:
+                    j = pos3[b | bit]
+                    v = -zi * c if (b & (bit - 1)).bit_count() & 1 else zi * c
+                    zp[j] = zp.get(j, 0) + v
+        lhs = 0
+        for b, c in alpha.coeffs.items():
+            for j, w in rows[pos2[b]].items():
+                if j in zp:
+                    lhs += c * w * zp[j]
+        e, ad_zp = scaled_ad(g, z, p.coeffs)
+        rhs = 0
+        for b, c in alpha.coeffs.items():
+            if b in ad_zp:
+                rhs -= c * ad_zp[b]
+        if lhs * e != rhs * d:
             return False
     return True
 
@@ -79,21 +108,22 @@ def dp_closed_and_representative_free(g: LieAlgebra, rng,
     return True
 
 
-def characterisation_equivalence_holds(g: LieAlgebra) -> bool:
-    lhs = is_23_trivial(g)
-    if not g.is_solvable():
-        return lhs is False
-    derived = g.derived_algebra()
-    if derived.dim != g.n - 1:
-        return lhs is False
+def characterisation_equivalence_holds(g: LieAlgebra, trivial23: bool,
+                                       solvable: bool, derived: Subspace,
+                                       derived_nilpotent: bool) -> bool:
+    """b2 = b3 = 0 iff g = R a + g' with g' nilpotent and H^1..H^3(g')^a = 0,
+    given is_23_trivial(g), whether g is solvable, g' and, for solvable g,
+    whether g' is nilpotent."""
+    if not solvable or derived.dim != g.n - 1:
+        return trivial23 is False
     if derived.dim == 0:
-        return lhs is True  # one-dimensional algebra; invariants vacuous
-    if not g.subalgebra(derived).is_nilpotent():
-        return lhs is False
+        return trivial23 is True  # one-dimensional algebra; invariants vacuous
+    if not derived_nilpotent:
+        return trivial23 is False
     a = next(u for u in identity(g.n) if not derived.contains(u))
     dims = invariant_cohomology_dims(g, derived, a)
     rhs = all(d == 0 for d in dims[1:4])
-    return lhs is rhs
+    return trivial23 is rhs
 
 
 def check_algebra(entry: CorpusEntry, triples: int) -> dict:
@@ -101,6 +131,9 @@ def check_algebra(entry: CorpusEntry, triples: int) -> dict:
     rng = random.Random(f"corpus:{entry.name}")
     kernel = lie_kernel(g)
     report = betti(g)
+    trivial23, unimodular = is_23_trivial(g), g.is_unimodular()
+    solvable, derived = g.is_solvable(), g.derived_algebra()
+    derived_nilpotent = solvable and g.subalgebra(derived).is_nilpotent()
     checks = {
         "d_squared_zero": kernel.complex.verify_d_squared(),
         "kernel_dim_formula":
@@ -108,19 +141,17 @@ def check_algebra(entry: CorpusEntry, triples: int) -> dict:
         "adjoint_identity": adjoint_identity_holds(g, rng, triples),
         "dp_closed_representative_free":
             dp_closed_and_representative_free(g, rng),
-        "unimodular_iff_top_betti":
-            g.is_unimodular() == (report.betti[g.n] == 1),
-        "codim1_characterisation": characterisation_equivalence_holds(g),
+        "unimodular_iff_top_betti": unimodular == (report.betti[g.n] == 1),
+        "codim1_characterisation": characterisation_equivalence_holds(
+            g, trivial23, solvable, derived, derived_nilpotent),
         "euler_characteristic_zero":
             sum((-1) ** k * b for k, b in enumerate(report.betti)) == 0,
-        "solvable_implies_derived_nilpotent":
-            (not g.is_solvable())
-            or g.subalgebra(g.derived_algebra()).is_nilpotent(),
+        "solvable_implies_derived_nilpotent": not solvable or derived_nilpotent,
     }
-    if g.is_unimodular():
+    if unimodular:
         checks["hodge_duality"] = all(
             report.betti[k] == report.betti[g.n - k] for k in range(g.n + 1))
-    if is_23_trivial(g) and g.n >= 2:
+    if trivial23 and g.n >= 2:
         checks["trivial23_consequences"] = all(trivial23_consequences(g).values())
     # the Lie kernel grows by dim h when a central line is added
     extended = LieAlgebra.abelian(1).direct_sum(g)

@@ -373,7 +373,7 @@ def corpus_text() -> str:
 
 def load_corpus(path=None) -> list[CorpusEntry]:
     """Parse a .lie fixture file, by default the shipped corpus.lie, into
-    named, validated algebras."""
+    named, validated algebras; a file with none is an error."""
     items = parse_lie_text(corpus_text()) if path is None else load_lie_file(path)
     entries, lines = [], {}
     for parsed in items:
@@ -393,6 +393,9 @@ def load_corpus(path=None) -> list[CorpusEntry]:
         algebra = instantiate(parsed.expr, parsed.bindings, name=name)
         algebra.validate()
         entries.append(CorpusEntry(name, algebra, grading, serialize(parsed.expr)))
+    if not entries:
+        # a suite over no algebra would pass vacuously
+        raise LieKernelError("no algebra in fixture")
     return entries
 
 

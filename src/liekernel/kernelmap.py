@@ -8,10 +8,17 @@ on the slice of lex two-forms off the echelon pivots of B^2; elements are
 stored through the canonical coset representative obtained by reducing
 against that echelon basis, which makes equality decidable and output
 stable.  The matrix of d_P is the rows of d_2 at the slice, and `dP` is
-`CEComplex.d`, which applies the integer rows.  `ad_multivector` extends
-the columns of `scaled_ad_columns` by the same Leibniz rule, so
-<d_P alpha, Z ^ p> = -<alpha, ad_Z p> checks the CE images D de^m against
-the ad columns.
+`CEComplex.d`, which applies the integer rows.
+
+ad on multivectors is one integer seam, `scaled_ad`: ad_z p is the sum of
+z_i times the rows of D ad_{e_i}, each row the image of one basis
+multivector under the columns of D ad_{e_i} (the scaled brackets D [e_i, e_j],
+which `scaled_ad_columns(e_i)` also returns) extended by the Leibniz rule
+(`exterior.derivation_rows`).  The rows are built on first
+use, only for the basis multivectors asked for, and cached on the algebra.
+`ad_multivector` divides once; the adjoint identity
+<d_P alpha, Z ^ p> = -<alpha, ad_Z p> of the corpus suite compares the CE
+rows D d_2 against these rows in integers.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from math import comb
 
 from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
-from .exterior import (KForm, KVector, extend_as_derivation, interior, lex,
-                       pairing, vector_of)
+from .exterior import (KForm, KVector, derivation_rows, interior, lex, pairing,
+                       vector_of)
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
                      solve, transpose)
@@ -109,18 +116,59 @@ def dP(g: LieAlgebra, beta) -> KForm:
     return complex_of(g).d(_two_form(g, beta))
 
 
+def _unit_ad_rows(g: LieAlgebra, units, coeffs: dict) -> list[dict]:
+    """The cache of g: entry i maps the bitmask of a basis multivector e_B
+    to the integer row {bits: D times the coefficient} of D ad_{e_i} e_B.
+    Builds the rows that the given units lack for the keys of `coeffs`
+    (bitmasks of one degree), one `derivation_rows` call per unit."""
+    if g._ad_rows is None:
+        g._ad_rows = [{} for _ in range(g.n)]
+    cache = g._ad_rows
+    for i in units:
+        rows = cache[i]
+        if coeffs.keys() <= rows.keys():
+            continue
+        missing = [b for b in coeffs if b not in rows]
+        # column j of D ad_{e_i}, scaled_ad_columns(e_i), is D [e_i, e_j]
+        images = [{1 << m: v for m, v in col.items()}
+                  for col in g.scaled_brackets()[1][i]]
+        ixs, _, pos = lex(g.n, missing[0].bit_count())
+        built = derivation_rows(images, [(ixs[pos[b]], b) for b in missing])
+        for b, row in zip(missing, built):
+            rows[b] = {key: v for key, v in row.items() if v}
+    return cache
+
+
+def scaled_ad(g: LieAlgebra, z, coeffs: dict) -> tuple[int, dict[int, int]]:
+    """(E, {bits: E times the coefficient of e_bits in ad_z p}) in ints,
+    for z and p = {bits: coefficient} of one degree with int or Fraction
+    values, E = D times the common denominators of z and of p: the sum of
+    z_i p_B times the cached rows of D ad_{e_i} e_B (`_unit_ad_rows`).
+    A value may be zero where terms cancel."""
+    z = tuple(z)
+    if len(z) != g.n:
+        raise DimensionMismatch("vector outside the algebra")
+    lz, zs = clear_denominators({i: q for i, q in enumerate(z) if q})
+    lp, nums = clear_denominators(coeffs)
+    rows = _unit_ad_rows(g, zs, nums)
+    acc: dict[int, int] = {}
+    for i, zi in zs.items():
+        unit = rows[i]
+        for b, v in nums.items():
+            c = zi * v
+            for key, w in unit[b].items():
+                acc[key] = acc.get(key, 0) + c * w
+    return g.scaled_brackets()[0] * lz * lp, acc
+
+
 def ad_multivector(g: LieAlgebra, z, p: KVector) -> KVector:
     """ad_z extended to multivectors as a derivation, for z with int or
-    Fraction coordinates: the derivation rule runs on the int numerators of
-    p and of the columns of `g.scaled_ad_columns(z)`."""
+    Fraction coordinates: `scaled_ad`, divided once."""
     if not isinstance(p, KVector) or p.n != g.n:
         raise DimensionMismatch("ad_multivector needs a multivector on g")
-    scale, cols = g.scaled_ad_columns(z)
-    images = [{1 << m: v for m, v in col.items() if v} for col in cols]
-    lp, nums = clear_denominators(p.coeffs)
-    scale *= lp
-    return KVector(g.n, p.k, {b: Fraction(v, scale) for b, v in
-                              extend_as_derivation(images, nums).items()})
+    scale, nums = scaled_ad(g, z, p.coeffs)
+    return KVector(g.n, p.k, {b: Fraction(v, scale)
+                              for b, v in nums.items() if v})
 
 
 @dataclass(frozen=True)

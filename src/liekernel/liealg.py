@@ -11,7 +11,10 @@ built from sc on first read, for the callers that index it.  `brackets`
 hands the nonzeros back in the form `from_brackets` takes.
 `scaled_brackets` keeps them once more, times their common denominator D,
 as integers, for the Jacobi test, the integer CE rows and the integer
-columns of ad.
+columns of ad.  The derived and lower central series are computed once per
+algebra and cached, as its complex and Lie kernel are; each call hands out
+a fresh list, and `derived_algebra` is the second term of the derived
+series.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ class LieAlgebra:
             raise LieKernelError(f"dimension {n} above the supported 16")
         self.n, self.name, self._validated = n, name, False
         # caches filled on first use by the c property, scaled_brackets,
-        # cohomology.complex_of and kernelmap.lie_kernel
-        self._c = self._scaled = self._complex = self._kernel = None
+        # the two series (after validation, so an algebra that fails Jacobi
+        # caches none), cohomology.complex_of, kernelmap.lie_kernel and the
+        # per-unit ad rows of kernelmap.scaled_ad
+        self._c = self._scaled = self._derived = self._lower = None
+        self._complex = self._kernel = self._ad_rows = None
 
     @classmethod
     def unchecked(cls, c, name: str | None = None) -> "LieAlgebra":
@@ -194,29 +200,35 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace(self.n, identity(self.n))
 
-    def derived_series(self) -> list[Subspace]:
+    def _series(self, left) -> tuple[Subspace, ...]:
+        """g, then [left(series), last term] until a term is zero or keeps
+        the dimension of the one before."""
         self.validate()
         series = [self.full_space()]
         while series[-1].dim:
-            nxt = self.product_space(series[-1], series[-1])
+            nxt = self.product_space(left(series), series[-1])
             series.append(nxt)
             if nxt.dim == series[-2].dim:
                 break  # stabilised above zero; witnessed by the repeat
-        return series
+        return tuple(series)
+
+    def derived_series(self) -> list[Subspace]:
+        """g, g' = [g, g], [g', g'], ...; computed once, a fresh list per
+        call."""
+        if self._derived is None:
+            self._derived = self._series(lambda series: series[-1])
+        return list(self._derived)
 
     def lower_central_series(self) -> list[Subspace]:
-        self.validate()
-        series = [self.full_space()]
-        while series[-1].dim:
-            nxt = self.product_space(series[0], series[-1])
-            series.append(nxt)
-            if nxt.dim == series[-2].dim:
-                break
-        return series
+        """g, [g, g], [g, [g, g]], ...; computed once, a fresh list per
+        call."""
+        if self._lower is None:
+            self._lower = self._series(lambda series: series[0])
+        return list(self._lower)
 
     def derived_algebra(self) -> Subspace:
-        self.validate()
-        return self.product_space(self.full_space(), self.full_space())
+        # the second term of the derived series; the zero algebra has none
+        return self.derived_series()[:2][-1]
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].dim == 0

@@ -259,6 +259,18 @@ def test_bad_corpus_fixture_exit_code(capsys, tmp_path, content):
     assert json.loads(out)["error"]["type"] == "LieKernelError"
 
 
+@pytest.mark.parametrize("content", ["", "# only a comment\n\n"],
+                         ids=["empty", "comment-only"])
+def test_corpus_fixture_without_an_algebra_is_an_error(capsys, tmp_path,
+                                                       content):
+    fixture = tmp_path / "none.lie"
+    fixture.write_text(content)
+    code, out = run(capsys, "corpus", "--fixture", str(fixture), "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "LieKernelError",
+                                        "message": "no algebra in fixture"}
+
+
 @pytest.mark.parametrize("argv", [
     ["--F", "0,0,0,0", "--t-end", "1e9"],
     ["--F", "0,1,0,0", "--step", "1e-9"],

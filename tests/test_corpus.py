@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from liekernel import corpus, parse_algebra
+from liekernel import corpus, kernelmap, parse_algebra
 from liekernel.corpus import (adjoint_identity_holds, kunneth_pair_check,
                               run_corpus_suite)
 from liekernel.exterior import KVector
@@ -30,24 +30,53 @@ def test_kunneth_pair_check_direct():
     assert kunneth_pair_check(entries["su2"], entries["R2"])
 
 
-def _wrong_by_p(g, z, p):
-    return ad_multivector(g, z, p) + p
+_scaled_ad = kernelmap.scaled_ad
 
 
-def _negated(g, z, p):
-    return -ad_multivector(g, z, p)
+def _wrong_by_p(g, z, coeffs):
+    scale, image = _scaled_ad(g, z, coeffs)
+    for bits, c in coeffs.items():
+        image[bits] = image.get(bits, 0) + scale * c
+    return scale, image
+
+
+def _negated(g, z, coeffs):
+    scale, image = _scaled_ad(g, z, coeffs)
+    return scale, {bits: -v for bits, v in image.items()}
 
 
 @pytest.mark.parametrize("name,wrong", [
     ("h3", _wrong_by_p), ("su3", _wrong_by_p), ("su3", _negated)])
 def test_adjoint_identity_catches_a_wrong_ad_multivector(monkeypatch, name,
                                                          wrong):
-    # on h3 both sides vanish (d is zero on two-forms and ad_Z P = 0), so
-    # negating the image is still right there; adding p is not
+    # the right side reads ad through the integer seam that ad_multivector
+    # divides (see the next test); on h3 both sides vanish (d is zero on
+    # two-forms and ad_Z P = 0), so negating the image is still right
+    # there; adding p is not
     g = {e.name: e.algebra for e in load_corpus()}[name]
     assert adjoint_identity_holds(g, random.Random(name), 5)
-    monkeypatch.setattr(corpus, "ad_multivector", wrong)
+    monkeypatch.setattr(corpus, "scaled_ad", wrong)
     assert not adjoint_identity_holds(g, random.Random(name), 5)
+
+
+def test_the_suite_checks_the_seam_that_ad_multivector_reads(monkeypatch):
+    g = {e.name: e.algebra for e in load_corpus()}["su3"]
+    z, p = (1, 0, 2, 0, 0, -1, 0, 3), KVector.from_terms(8, {(1, 2): 1,
+                                                             (3, 7): 2})
+    right = ad_multivector(g, z, p)
+    assert corpus.scaled_ad is kernelmap.scaled_ad
+    monkeypatch.setattr(kernelmap, "scaled_ad", _negated)
+    assert ad_multivector(g, z, p) == -right != right
+
+
+def test_adjoint_identity_catches_a_wrong_d(monkeypatch):
+    # flip the sign of one entry of the cached integer rows D d_2
+    g = {e.name: e.algebra for e in load_corpus()}["su3"]
+    assert adjoint_identity_holds(g, random.Random("su3"), 5)
+    row = next(r for r in lie_kernel(g).complex.d_rows(2) if r)
+    j, v = next(iter(row.items()))
+    monkeypatch.setitem(row, j, -v)
+    assert not adjoint_identity_holds(g, random.Random("su3"), 5)
 
 
 @pytest.mark.parametrize("text", ["(0,21,1/2.31)", "(0,21+31,31,2.41+32)",

@@ -10,6 +10,7 @@ from liekernel import (CEComplex, KVector, LieAlgebra, Subspace, basis_form,
                        wedge)
 from liekernel.errors import DimensionMismatch, MomentMapError
 from liekernel.families import SU3_BASIS_NAMES, su2, su3, u2
+from liekernel.exterior import multi_indices
 from liekernel.kernelmap import ad_multivector
 
 SU3_INDEX = {name: k + 1 for k, name in enumerate(SU3_BASIS_NAMES)}
@@ -259,3 +260,46 @@ def test_inputs_from_other_spaces_raise_dimension_mismatch(call):
     g, h = parse_algebra("(0,0,12)"), parse_algebra("(0,21,1/2.31)")
     with pytest.raises(DimensionMismatch):
         call(g, h)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: ad_multivector(g, (1, 0, 0), KVector.from_terms(4, {(1, 4): 1})),
+    lambda g: ad_multivector(g, (1, 0, 0), basis_form(3, 1, 2)),
+    lambda g: ad_multivector(g, (1, 0), KVector.from_terms(3, {(1, 3): 1})),
+    lambda g: ad_multivector(g, (1, 0, 0, 0), KVector.from_terms(3, {(1, 3): 1})),
+], ids=["ad_p_on_wider_space", "ad_p_a_form", "ad_z_too_short",
+        "ad_z_too_long"])
+def test_wrong_spaces_raise_once_the_ad_rows_are_cached(call):
+    # every row of ad on Lambda^1 and Lambda^2 is cached, so no call builds
+    # a row and the wrong space must be caught before the cache is read
+    g = parse_algebra("(0,0,12)")
+    for k in (1, 2):
+        for ixs in multi_indices(3, k):
+            ad_multivector(g, (1, 1, 1), KVector.from_terms(3, {ixs: 1}))
+    assert all(len(rows) == 6 for rows in g._ad_rows)
+    with pytest.raises(DimensionMismatch):
+        call(g)
+
+
+def test_ad_rows_are_built_only_for_the_terms_asked_for():
+    # ext(n(6)), n = 16: one degree-8 term needs one row per unit of z,
+    # not the 16 * C(16, 8) rows of every unit on Lambda^8
+    from itertools import combinations
+
+    import dense_oracle
+    from liekernel.families import GradedNilpotent, graded_extension
+    from liekernel.liealg import matrix_lie_algebra
+
+    pairs = list(combinations(range(6), 2))
+    n6 = matrix_lie_algebra([[[int((r, s) == p) for s in range(6)]
+                              for r in range(6)] for p in pairs])
+    g = graded_extension(GradedNilpotent(n6, tuple(b - a for a, b in pairs)))
+    z = tuple(Fraction(i % 3 - 1, 2) for i in range(16))
+    p = KVector.from_terms(16, {(1, 2, 3, 5, 8, 11, 14, 16): 3})
+    image = ad_multivector(g, z, p)
+    assert image == dense_oracle.ad_multivector(g.c, z, p)
+    assert not image.is_zero()
+    built = sum(len(rows) for rows in g._ad_rows)
+    assert built == sum(1 for q in z if q) <= g.n
+    assert ad_multivector(g, z, p) == image
+    assert sum(len(rows) for rows in g._ad_rows) == built

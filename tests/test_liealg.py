@@ -6,7 +6,9 @@ import pytest
 from liekernel import LieAlgebra, Subspace, parse_algebra
 from liekernel.errors import (DimensionMismatch, JacobiError, LieKernelError,
                               SubspaceError)
-from liekernel.families import seven_dim_characteristically_nilpotent
+from liekernel.families import (TABLE_GRIDS, FamilySpec, load_corpus,
+                                make_family,
+                                seven_dim_characteristically_nilpotent)
 from liekernel.liealg import (is_nilpotent_matrix, matrix_commutator,
                               matrix_lie_algebra)
 
@@ -72,6 +74,55 @@ def test_antisymmetry_witness_is_first_failing_entry(rng):
         with pytest.raises(JacobiError,
                            match=rf"^antisymmetry fails at c\^{k+1}_\{{{i+1},{j+1}\}}$"):
             LieAlgebra.unchecked(c)
+
+
+def _uncached_series(g, lower):
+    series = [g.full_space()]
+    while series[-1].dim:
+        left = series[0] if lower else series[-1]
+        series.append(g.product_space(left, series[-1]))
+        if series[-1].dim == series[-2].dim:
+            break
+    return series
+
+
+def _series_algebras():
+    yield from ((e.name, e.algebra) for e in load_corpus())
+    for name, grid in TABLE_GRIDS.items():
+        for params in grid:
+            spec = FamilySpec.of(name, **params)
+            yield spec.label(), make_family(spec)
+    yield "zero", LieAlgebra.abelian(0)
+
+
+def test_cached_series_equal_a_fresh_computation():
+    checked = 0
+    for label, g in _series_algebras():
+        derived = g.derived_series()
+        assert derived == _uncached_series(g, lower=False), label
+        lower = g.lower_central_series()
+        assert lower == _uncached_series(g, lower=True), label
+        full = g.full_space()
+        assert g.derived_algebra() == g.product_space(full, full), label
+        # each call hands out a list of its own
+        derived.clear()
+        lower.append(None)
+        assert g.derived_series() == _uncached_series(g, lower=False), label
+        assert g.lower_central_series() == _uncached_series(g, lower=True)
+        assert g.derived_series() is not g.derived_series()
+        checked += 1
+    assert checked >= 32 + sum(len(grid) for grid in TABLE_GRIDS.values())
+
+
+def test_series_of_an_algebra_failing_jacobi_raise_and_cache_nothing():
+    # J(e1, e2, e3) = [e1, e3] = e2
+    g = LieAlgebra.from_brackets(3, {(1, 2): {1: 1}, (1, 3): {2: 1}},
+                                 validate=False)
+    for ask in (g.derived_series, g.lower_central_series, g.derived_algebra,
+                g.is_solvable, g.is_nilpotent):
+        with pytest.raises(JacobiError):
+            ask()
+        assert g._derived is None and g._lower is None
 
 
 def test_jacobi_witness_is_first_failing_triple(rng):
