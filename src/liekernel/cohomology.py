@@ -15,6 +15,9 @@ are; the readers of the matrix itself, `ce_differential` and
 form's int numerators and divides once per entry.  Ranks are taken by exact
 sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
 rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
+The pivot columns of that echelon span the column space of d_k, so Z^k is
+the integer null space of those columns alone; Z^k and B^k are `Subspace`s
+of integer rows, which `invariant_cohomology_dims` reads as they are.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
 `exterior.extend_as_derivation`.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DimensionMismatch, SubspaceError
 from .exterior import KForm, derivation_rows, extend_as_derivation, lex
@@ -113,11 +116,17 @@ class CEComplex:
             if k >= self.n:
                 self._cocycles[k] = Subspace(dim_k, identity(dim_k))
             else:
-                cols = [{} for _ in range(comb(self.n, k + 1))]
+                # Z^k = {x : x d_k = 0}; the pivot columns of the echelon
+                # of `d_rank` are a basis of the column space of d_k, so
+                # only they give equations
+                self.d_rank(k)
+                cols = {j: {} for j in self._pivots[k]}
                 for i, row in enumerate(self.d_rows(k)):
                     for j, q in row.items():
-                        cols[j][i] = q
-                self._cocycles[k] = Subspace(dim_k, nullspace(cols, dim_k))
+                        if j in cols:
+                            cols[j][i] = q
+                self._cocycles[k] = Subspace(
+                    dim_k, nullspace(list(cols.values()), dim_k))
         return self._cocycles[k]
 
     def betti_number(self, k: int) -> int:
@@ -222,24 +231,26 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
         if coords is None:
             raise SubspaceError("[a, ideal] is not contained in the ideal")
         action_rows.append(coords)
-    # L_a = -ad_a^*: L_a e^j = -sum_i e^j([a, v_i]) e^i
-    images = [{1 << i: -q for i, q in enumerate(row) if q}
+    # L_a = -ad_a^*: L_a e^j = -sum_i e^j([a, v_i]) e^i, times the common
+    # denominator l of the action, so images and L_a Z^i are ints
+    l = lcm(*(q.denominator for row in action_rows for q in row))
+    images = [{1 << i: -q.numerator * (l // q.denominator)
+               for i, q in enumerate(row) if q}
               for row in transpose(action_rows)]
 
     cx = complex_of(sub)
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)
-        bits = lex(m, i)[1]
+        bits, pos = lex(m, i)[1:]
         moved = []
-        for z in zc.basis:
-            image = extend_as_derivation(images, {b: q for b, q in
-                                                  zip(bits, z) if q})
-            lz = tuple(image.get(b, 0) for b in bits)
+        for z in zc.rows:
+            image = extend_as_derivation(images, {bits[c]: v
+                                                  for c, v in z.items()})
+            lz = {pos[b]: v for b, v in image.items() if v}
             if not zc.contains(lz):
                 raise SubspaceError("induced action left Z^i; ideal data corrupt")
             moved.append(lz)
         # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i)
-        boundaries = list(cx.coboundaries(i).basis)
-        dims.append(zc.dim - rank(boundaries + moved, comb(m, i)))
+        dims.append(zc.dim - rank(cx.coboundaries(i).rows + moved, comb(m, i)))
     return dims

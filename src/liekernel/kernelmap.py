@@ -5,10 +5,12 @@ All of it is read off the algebra's one cached CE complex.  Row k of d_1 is
 -e^k([., .]), so P = ker([., .]: Lambda^2 g -> g) is the null space of d_1,
 the annihilator of B^2 = d(g*).  Its dual P* = Lambda^2 g* / B^2 is realised
 on the slice of lex two-forms off the echelon pivots of B^2; elements are
-stored through the canonical coset representative obtained by reducing
-against that echelon basis, which makes equality decidable and output
-stable.  The matrix of d_P is the rows of d_2 at the slice, and `dP` is
-`CEComplex.d`, which applies the integer rows.
+stored through the canonical coset representative, the form's
+{lex position: coefficient} dict reduced in integers against the integer
+echelon rows of B^2 (`Subspace.reduce`), which makes equality decidable and
+output stable.  The matrix of d_P is the rows of d_2 at the slice, and `dP`
+is `CEComplex.d`, which applies the integer rows; a multi-moment value is
+read off one reduction of (psi, 0) against the rows (d_P e_c, e_c).
 
 ad on multivectors is one integer seam, `scaled_ad`: ad_z p is the sum of
 z_i times the rows of D ad_{e_i}, each row the image of one basis
@@ -29,11 +31,9 @@ from math import comb
 
 from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
-from .exterior import (KForm, KVector, derivation_rows, interior, lex, pairing,
-                       vector_of)
+from .exterior import KForm, KVector, derivation_rows, interior, lex, pairing
 from .liealg import LieAlgebra
-from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
-                     solve, transpose)
+from .linalg import Subspace, clear_denominators, identity, nullspace, rank
 
 
 class LieKernel:
@@ -56,7 +56,11 @@ class LieKernel:
         return self.space.dim
 
     def basis(self) -> list[KVector]:
-        return [KVector.from_vector(self.n, 2, row) for row in self.space.basis]
+        """The reduced echelon basis of P: each integer row over its lead."""
+        bits = lex(self.n, 2)[1]
+        return [KVector(self.n, 2, {bits[c]: Fraction(v, r[p])
+                                    for c, v in r.items()})
+                for r, p in zip(self.space.rows, self.space.pivots)]
 
     def dP_rows(self) -> list[dict]:
         """Matrix of d_P: sparse rows of d_2 at the slice, over lex triples."""
@@ -68,8 +72,14 @@ class LieKernel:
         return [rows[c] for c in self.slice]
 
     def canonical_rep(self, form: KForm) -> KForm:
-        reduced = self.exact_two_forms.reduce(form.vector())
-        return KForm.from_vector(self.n, 2, reduced)
+        """The representative of form + B^2 that is zero at every pivot
+        of B^2."""
+        if form.n != self.n or form.k != 2:
+            raise DimensionMismatch("P* elements come from two-forms on g")
+        _, bits, pos = lex(self.n, 2)
+        reduced = self.exact_two_forms.reduce(
+            {pos[b]: q for b, q in form.coeffs.items()})
+        return KForm(self.n, 2, {bits[c]: q for c, q in reduced.items()})
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,6 @@ def lie_kernel(g: LieAlgebra) -> LieKernel:
 
 def pdual(g: LieAlgebra, form: KForm) -> PDualElement:
     """Class of a two-form in P* = Lambda^2 g* / d(g*)."""
-    if form.n != g.n or form.k != 2:
-        raise DimensionMismatch("P* elements come from two-forms on g")
     return PDualElement(g, lie_kernel(g).canonical_rep(form))
 
 
@@ -208,16 +216,18 @@ def multimoment_value(g: LieAlgebra, psi: KForm) -> PDualElement:
         raise MomentMapError(f"b2 = {b2} != 0: multi-moment value not unique")
     if not cx.d(psi).is_zero():
         raise MomentMapError("psi is not closed")
-    target = psi.vector()
-    rows = kernel.dP_rows()
-    # one equation per lex triple, one unknown per slice two-form
-    x = solve([tuple(r.get(t, 0) for r in rows) for t in range(len(target))],
-              target) if rows else (None if any(target) else ())
-    if x is None:
+    # rows (d_P e_c, e_c) over the slice c: reducing (psi, 0) leaves
+    # (0, -beta) when psi = d_P beta, and d_P is injective as b_2 = 0
+    width, rows = comb(g.n, 3), kernel.dP_rows()
+    span = Subspace(width + len(rows), [{**r, width + i: 1}
+                                        for i, r in enumerate(rows)])
+    pos = lex(g.n, 3)[2]
+    w = span.reduce({pos[b]: q for b, q in psi.coeffs.items()})
+    if any(c < width for c in w):
         raise MomentMapError("psi is not in the image of dP (b3 obstruction)")
     bits = lex(g.n, 2)[1]
-    return PDualElement(g, KForm(g.n, 2, {bits[c]: q
-                                          for c, q in zip(kernel.slice, x)}))
+    return PDualElement(g, KForm(g.n, 2, {bits[kernel.slice[c - width]]: -q
+                                          for c, q in w.items()}))
 
 
 def stabilizer(g: LieAlgebra, beta) -> Subspace:
@@ -233,9 +243,12 @@ def kernel_of_psi(g: LieAlgebra, psi: KForm) -> Subspace:
     """{X in g : X -| psi = 0} for an arbitrary three-form psi."""
     if psi.n != g.n:
         raise DimensionMismatch("psi lives on a different algebra")
-    columns = [interior(vector_of(g.n, u), psi).vector()
-               for u in identity(g.n)]
-    return Subspace(g.n, nullspace(transpose(columns), g.n))
+    # one equation per two-form component b: sum_i X_i (e_i -| psi)_b = 0
+    rows: dict[int, dict] = {}
+    for i in range(g.n):
+        for b, q in interior(KVector(g.n, 1, {1 << i: 1}), psi).coeffs.items():
+            rows.setdefault(b, {})[i] = q
+    return Subspace(g.n, nullspace(list(rows.values()), g.n))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
-from .linalg import (Subspace, clear_denominators, identity, inverse,
-                     mat_vec, nullspace, transpose, vec)
+from .linalg import Subspace, clear_denominators, identity, nullspace, vec
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -308,10 +307,11 @@ class LieAlgebra:
         return Subspace(n * n, nullspace(rows, n * n))
 
     def derivation_matrices(self) -> list[list[Vector]]:
-        n = self.n
+        n, der = self.n, self.derivation_algebra()
         return [
-            [tuple(row[a * n + b] for b in range(n)) for a in range(n)]
-            for row in self.derivation_algebra().basis
+            [tuple(Fraction(r.get(a * n + b, 0), r[p]) for b in range(n))
+             for a in range(n)]
+            for r, p in zip(der.rows, der.pivots)
         ]
 
     def is_characteristically_nilpotent(self) -> bool:
@@ -324,14 +324,13 @@ class LieAlgebra:
         """
         if not self.is_nilpotent():
             raise LieKernelError("characteristic nilpotency needs a nilpotent input")
-        # each basis matrix times the lcm of its denominators, in integers:
-        # a nonzero multiple of a matrix is nilpotent exactly when it is,
-        # and rescaling a basis keeps its span
-        n, matrices = self.n, []
-        for row in self.derivation_algebra().basis:
-            flat = clear_denominators(dict(enumerate(row)))[1]
-            matrices.append([tuple(flat[a * n + b] for b in range(n))
-                             for a in range(n)])
+        # each basis matrix as its primitive integer row: a nonzero
+        # multiple of a matrix is nilpotent exactly when it is, and
+        # rescaling a basis keeps its span
+        n = self.n
+        matrices = [[tuple(r.get(a * n + b, 0) for b in range(n))
+                     for a in range(n)]
+                    for r in self.derivation_algebra().rows]
         if not all(is_nilpotent_matrix(m) for m in matrices):
             return False
         der = matrix_lie_algebra(matrices, name="Der")
@@ -361,24 +360,25 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
     """
     if not matrices:
         return None
-    n = len(matrices[0])
-    flat = [tuple(row[i][j] for i in range(n) for j in range(n)) for row in matrices]
-    span = Subspace(n * n, flat)
-    if span.dim != len(matrices):
+    n, m = len(matrices[0]), len(matrices)
+
+    def flat(a) -> dict:
+        return {i * n + j: x for i, row in enumerate(a)
+                for j, x in enumerate(row) if x}
+
+    # rows (M_i, e_i): reducing (X, 0) leaves (0, -x) when X = sum x_i M_i,
+    # and a pivot in the e-part is a linear relation among the M_i
+    span = Subspace(n * n + m, [{**flat(a), n * n + i: 1}
+                                for i, a in enumerate(matrices)])
+    if span.pivots[-1] >= n * n:
         raise LieKernelError("matrix basis is linearly dependent")
-    # echelon coordinates x of a commutator are x M^-1 in the given basis,
-    # M the echelon coordinates of the given matrices
-    back = transpose(inverse([span.coordinates(f) for f in flat]))
     brackets = {}
     for (i, a), (j, b) in combinations(enumerate(matrices, 1), 2):
-        comm = matrix_commutator(a, b)
-        coords = span.coordinates(
-            tuple(comm[r][s] for r in range(n) for s in range(n)))
-        if coords is None:
+        w = span.reduce(flat(matrix_commutator(a, b)))
+        if any(c < n * n for c in w):
             raise SubspaceError("matrix span not closed under commutator")
-        coords = mat_vec(back, coords)
-        brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
-    return LieAlgebra.from_brackets(len(matrices), brackets, name=name)
+        brackets[i, j] = {c - n * n + 1: -q for c, q in w.items()}
+    return LieAlgebra.from_brackets(m, brackets, name=name)
 
 
 def is_nilpotent_matrix(m) -> bool:

@@ -6,6 +6,10 @@ dicts {column: value}, given the number of columns.  Every elimination runs
 through one sparse row reduction, `_echelon`, on primitive integer rows:
 denominators are cleared once per row and each row is kept divided by the
 gcd of its entries, so entries stay small integers instead of fractions.
+`_reduced` back-substitutes the echelon into the reduced echelon form, still
+primitive integer rows: `rref` divides them by their leads, `nullspace`
+reads integer null vectors off them, and a `Subspace` stores them and
+reduces dense or sparse vectors against them in integers.
 """
 
 from __future__ import annotations
@@ -121,56 +125,73 @@ def _echelon(rows: list[dict]):
     return pivot, steps
 
 
-def rref(rows, ncols: int | None = None) -> tuple[Matrix, list[int]]:
-    """RREF of dense, or sparse with ncols, rows: (nonzero rows, pivot columns)."""
+def _reduced(rows, ncols: int | None = None):
+    """(rows, pivot columns, ncols): the reduced echelon form of dense, or
+    sparse with ncols, rows as primitive integer dict rows with a positive
+    lead, sorted by pivot; each row over its lead is a row of the RREF."""
     m, _, ncols = _sparse(rows, ncols)
+    if any(r and (min(r) < 0 or max(r) >= ncols) for r in m):
+        raise DimensionMismatch("column index outside the matrix")
     pivot, _ = _echelon(m)
     cols = sorted(pivot)
-    out = []
     # back-substitute from the right: rows of later pivots are already reduced
     for c in reversed(cols):
         r = m[pivot[c]]
         for k in [k for k in r if k > c and k in pivot]:
             r = _eliminate(r, m[pivot[k]], k)[0]
-        m[pivot[c]] = r
-        lead = r[c]
-        v = [Fraction(0)] * ncols
-        for k, x in r.items():
-            v[k] = Fraction(x, lead)
-        out.append(tuple(v))
-    return out[::-1], cols
+        m[pivot[c]] = r if r[c] > 0 else {k: -x for k, x in r.items()}
+    return [m[pivot[c]] for c in cols], cols, ncols
+
+
+def _dense(row: dict, lead: int, ncols: int) -> Vector:
+    return tuple(Fraction(row.get(k, 0), lead) for k in range(ncols))
+
+
+def rref(rows, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+    """RREF of dense, or sparse with ncols, rows: (nonzero rows, pivot columns)."""
+    red, cols, ncols = _reduced(rows, ncols)
+    return [_dense(r, r[c], ncols) for r, c in zip(red, cols)], cols
 
 
 def rank(rows, ncols: int | None = None, pivots: set | None = None) -> int:
     """Exact rank of dense or sparse rows; the echelon's pivot columns are
-    added to ``pivots`` when a set is given."""
+    added to ``pivots`` when a set is given.  Sparse rows must keep their
+    columns in 0..ncols-1: unlike `rref`, this hot path does not check."""
     found = _echelon(_sparse(rows, ncols)[0])[0]
     if pivots is not None:
         pivots.update(found)
     return len(found)
 
 
-def nullspace(rows, ncols: int | None = None) -> Matrix:
-    """Echelonized basis of {x : A x = 0}."""
+def nullspace(rows, ncols: int | None = None) -> list[dict]:
+    """Basis of {x : A x = 0}, one vector per free column f of the RREF of A,
+    in order: the null vector that is 1 at f and 0 at the other free
+    columns, scaled to a primitive integer dict vector positive at f."""
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise LieKernelError("nullspace needs ncols for an empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(rows, ncols)
+    red, pivots, _ = _reduced(rows, ncols)
+    at: dict[int, list] = {}  # column -> (pivot, row) of the rows there
+    for p, r in zip(pivots, red):
+        for k in r:
+            at.setdefault(k, []).append((p, r))
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            x[p] = -red[r][f]
-        basis.append(tuple(x))
+        hits = at.get(f, ())
+        l = lcm(*(r[p] for p, r in hits))
+        x = {f: l, **{p: -r[f] * (l // r[p]) for p, r in hits}}
+        g = gcd(*x.values())
+        basis.append({k: v // g for k, v in x.items()})
     return basis
 
 
 def solve(a_rows, b: Vector) -> Vector | None:
     """One exact solution of A x = b (free variables set to 0), or None."""
     a_rows = list(a_rows)
+    if len(b) != len(a_rows):
+        raise DimensionMismatch("right-hand side has wrong length")
     ncols = len(a_rows[0]) if a_rows else 0
     aug = [tuple(row) + (bi,) for row, bi in zip(a_rows, b, strict=True)]
     red, pivots = rref(aug)
@@ -239,52 +260,85 @@ def rational_root(x, k: int) -> Fraction | None:
 
 
 class Subspace:
-    """A solved linear subspace: reduced-echelon basis rows of ambient R^n."""
+    """A solved linear subspace of R^ambient, stored once: `rows`, the
+    primitive integer dict rows of its reduced echelon form, each with a
+    positive lead, at the columns `pivots`.  That form is unique, so equal
+    subspaces store equal rows."""
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
-        self.basis, self.pivots = rref(rows, ambient)
+        self.rows, self.pivots, _ = _reduced(rows, ambient)
+        self._row_at = dict(zip(self.pivots, self.rows))
+        self._basis = None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def contains(self, v: Vector) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+    @property
+    def basis(self) -> Matrix:
+        """The reduced echelon basis as dense Fraction rows, built on first
+        read; a read-only view for small ambient spaces."""
+        if self._basis is None:
+            self._basis = [_dense(r, r[p], self.ambient)
+                           for r, p in zip(self.rows, self.pivots)]
+        return self._basis
 
-    def reduce(self, v: Vector) -> Vector:
-        """Canonical representative of v modulo this subspace.
+    def contains(self, v) -> bool:
+        return not self._reduce(v)[1]
+
+    def reduce(self, v) -> dict:
+        """Canonical representative of a dense or dict v modulo this
+        subspace, as a dict {column: Fraction} of its nonzeros.
 
         Eliminates every pivot coordinate; idempotent, and two vectors
         differing by a subspace element reduce identically.
         """
-        return self._reduce(v)[0]
+        e, w, _ = self._reduce(v)
+        return {c: Fraction(x, e) for c, x in w.items()}
 
-    def coordinates(self, v: Vector) -> Vector | None:
+    def coordinates(self, v) -> Vector | None:
         """Coefficients of v in the echelon basis, or None if v is outside."""
-        w, coords = self._reduce(v)
-        return None if any(w) else coords
+        _, w, v = self._reduce(v)
+        return None if w else tuple(Fraction(v.get(p, 0)) for p in self.pivots)
 
-    def _reduce(self, v: Vector) -> tuple[Vector, Vector]:
-        w = list(map(Fraction, v))
-        if len(w) != self.ambient:
-            raise DimensionMismatch("vector has wrong length")
-        coords = tuple(w[p] for p in self.pivots)
-        for row, f in zip(self.basis, coords):
-            if f:
-                for j in range(self.ambient):
-                    w[j] -= f * row[j]
-        return tuple(w), coords
+    def _reduce(self, v) -> tuple[int, dict, dict]:
+        """(E, E (v mod this subspace) in ints, v's nonzeros) for a dense or
+        dict v.  A row is zero at every other pivot, so reducing each pivot
+        entry of v once by its row clears them all."""
+        if isinstance(v, dict):
+            if v and (min(v) < 0 or max(v) >= self.ambient):
+                raise DimensionMismatch("column index outside the space")
+            items = v.items()
+        else:
+            v = tuple(v)
+            if len(v) != self.ambient:
+                raise DimensionMismatch("vector has wrong length")
+            items = enumerate(v)
+        v = {c: x for c, x in items if x}
+        l, w = clear_denominators(v)
+        used = [(w[c], r[c], r) for c in w if (r := self._row_at.get(c))]
+        m = lcm(*(lead for _, lead, _ in used))
+        w = {c: x * m for c, x in w.items()}
+        for x, lead, r in used:
+            f = x * (m // lead)
+            for k, y in r.items():
+                if t := w.get(k, 0) - f * y:
+                    w[k] = t
+                else:
+                    del w[k]
+        return l * m, w, v
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.basis)))
+        return hash((self.ambient,
+                     tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of R^{self.ambient})"

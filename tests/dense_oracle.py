@@ -1,7 +1,11 @@
 """Dense exact code kept as a differential oracle for the sparse paths.
 
 These are the Gauss-Jordan `rref` and the Bareiss `rank` that `linalg` used
-before its sparse integer kernel, unchanged; the bracket, ad and ad on
+before its sparse integer kernel, unchanged except that `rref` densifies
+sparse rows first; the dense `nullspace` and `Subspace` that `linalg` kept
+before `Subspace` stored primitive integer rows, full-width `Fraction` rows
+reduced over the whole width, here on that `rref`, and the Lie kernel and
+derivation algebra below solve with them; the bracket, ad and ad on
 multivectors computed from the dense structure constants c[i][j][k], as
 `LieAlgebra` did before it kept their nonzeros; and the Lie kernel and d_P
 as `kernelmap` built them before it read both off the cached CE complex:
@@ -28,10 +32,13 @@ from math import comb, gcd
 
 from liekernel.exterior import (KForm, KVector, bits_of, indices_of,
                                 multi_indices, vector_of, wedge, wedge_sign)
-from liekernel.errors import LieKernelError, SubspaceError
+from liekernel.errors import DimensionMismatch, LieKernelError, SubspaceError
 from liekernel.kernelmap import DPProperties
 from liekernel.liealg import LieAlgebra, matrix_lie_algebra
-from liekernel.linalg import Subspace, nullspace, transpose
+from liekernel.linalg import transpose
+
+Vector = tuple[Fraction, ...]
+Matrix = list[Vector]
 
 
 def extend_as_derivation(images: list[KForm], form: KForm, image_degree: int) -> KForm:
@@ -100,9 +107,12 @@ def ad_multivector(c, z, p):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
+def rref(rows, ncols=None):
+    """Reduced row echelon form of dense, or sparse with ncols, rows;
+    returns (nonzero rows, pivot columns)."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)]
+         if isinstance(row, dict) else list(map(Fraction, row))
+         for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -162,6 +172,76 @@ def rank(rows) -> int:
         if r == nrows:
             break
     return r
+
+
+def nullspace(rows, ncols: int | None = None) -> Matrix:
+    """Echelonized basis of {x : A x = 0}."""
+    rows = list(rows)
+    if ncols is None:
+        if not rows:
+            raise LieKernelError("nullspace needs ncols for an empty matrix")
+        ncols = len(rows[0])
+    red, pivots = rref(rows, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            x[p] = -red[r][f]
+        basis.append(tuple(x))
+    return basis
+
+
+class Subspace:
+    """A solved linear subspace: reduced-echelon basis rows of ambient R^n."""
+
+    def __init__(self, ambient: int, rows=()):
+        self.ambient = ambient
+        self.basis, self.pivots = rref(rows, ambient)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, v: Vector) -> bool:
+        return all(x == 0 for x in self.reduce(v))
+
+    def reduce(self, v: Vector) -> Vector:
+        """Canonical representative of v modulo this subspace.
+
+        Eliminates every pivot coordinate; idempotent, and two vectors
+        differing by a subspace element reduce identically.
+        """
+        return self._reduce(v)[0]
+
+    def coordinates(self, v: Vector) -> Vector | None:
+        """Coefficients of v in the echelon basis, or None if v is outside."""
+        w, coords = self._reduce(v)
+        return None if any(w) else coords
+
+    def _reduce(self, v: Vector) -> tuple[Vector, Vector]:
+        w = list(map(Fraction, v))
+        if len(w) != self.ambient:
+            raise DimensionMismatch("vector has wrong length")
+        coords = tuple(w[p] for p in self.pivots)
+        for row, f in zip(self.basis, coords):
+            if f:
+                for j in range(self.ambient):
+                    w[j] -= f * row[j]
+        return tuple(w), coords
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self.basis == other.basis
+        )
+
+    def __hash__(self):
+        return hash((self.ambient, tuple(self.basis)))
+
+    def __repr__(self):
+        return f"Subspace(dim {self.dim} of R^{self.ambient})"
 
 
 def lie_kernel_space(g):

@@ -93,6 +93,12 @@ def vectors(n):
     return st.lists(SMALL, min_size=n, max_size=n).map(tuple)
 
 
+def same_space(space, oracle):
+    """A `Subspace` equals a `dense_oracle.Subspace`: the same ambient
+    space and the same reduced echelon basis."""
+    return space.ambient == oracle.ambient and space.basis == oracle.basis
+
+
 @settings(max_examples=25, deadline=None)
 @given(algebras(), st.data())
 def test_sparse_bracket_and_ad_match_dense_oracle(g, data):
@@ -109,7 +115,7 @@ def test_sparse_bracket_and_ad_match_dense_oracle(g, data):
 @given(algebras())
 def test_kernel_dp_and_betti_match_dense_oracle(g):
     kernel = lie_kernel(g)
-    assert kernel.space == dense_oracle.lie_kernel_space(g)
+    assert same_space(kernel.space, dense_oracle.lie_kernel_space(g))
     triples = comb(g.n, 3)
     assert [tuple(r.get(t, 0) for t in range(triples))
             for r in kernel.dP_rows()] == dense_oracle.dP_rows(g)
@@ -163,13 +169,15 @@ CORPUS = {e.name: e.algebra for e in load_corpus()}
 @pytest.mark.parametrize("g", [*CORPUS.values(), su3()],
                          ids=[*CORPUS, "su3()"])
 def test_derivation_algebra_matches_the_dense_oracle(g):
-    assert g.derivation_algebra() == dense_oracle.derivation_algebra(g)
+    assert same_space(g.derivation_algebra(),
+                      dense_oracle.derivation_algebra(g))
 
 
 @settings(max_examples=15, deadline=None)
 @given(algebras())
 def test_derivation_algebra_matches_the_dense_oracle_in_a_rescaled_basis(g):
-    assert g.derivation_algebra() == dense_oracle.derivation_algebra(g)
+    assert same_space(g.derivation_algebra(),
+                      dense_oracle.derivation_algebra(g))
 
 
 def _integer_multiple(m):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liekernel.errors import LieKernelError
+from liekernel.errors import DimensionMismatch, LieKernelError
 from liekernel.linalg import (Subspace, det, inverse, is_positive_definite,
                               nullspace, rank, rref, solve)
 
@@ -34,7 +34,9 @@ def test_nullspace_is_kernel():
         basis = nullspace(m, cols)
         assert len(basis) == cols - rank(m)
         for v in basis:
-            assert all(sum(r[i] * v[i] for i in range(cols)) == 0 for r in m)
+            assert all(type(x) is int for x in v.values())
+            assert all(sum(r[i] * v.get(i, 0) for i in range(cols)) == 0
+                       for r in m)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -43,6 +45,8 @@ def test_solve_consistent_and_inconsistent():
     assert x == (Fraction(1), Fraction(2))
     # inconsistent system
     assert solve([(1, 1), (2, 2)], (Fraction(1), Fraction(3))) is None
+    with pytest.raises(DimensionMismatch):
+        solve([(1, 2)], (3, 4))
 
 
 def test_det_and_inverse():
@@ -89,3 +93,15 @@ def test_subspace_coordinates_and_equality():
     assert not s1.contains((1, 0, 0))
     assert s1.coordinates((3, 3, 7)) == (Fraction(3), Fraction(7))
     assert s1.coordinates((1, 0, 0)) is None
+
+
+@pytest.mark.parametrize("column", [-1, 3, 5])
+@pytest.mark.parametrize("build", [
+    lambda rows: Subspace(3, rows),
+    lambda rows: rref(rows, 3),
+    lambda rows: nullspace(rows, 3),
+    lambda rows: Subspace(3, [(1, 0, 0)]).reduce(rows[0]),
+], ids=["Subspace", "rref", "nullspace", "reduce"])
+def test_sparse_column_outside_the_matrix_is_rejected(build, column):
+    with pytest.raises(DimensionMismatch):
+        build([{column: 1}, {0: 1}])

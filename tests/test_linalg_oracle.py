@@ -85,8 +85,12 @@ def test_nullspace_matches_sympy(m):
     ncols = width(m)
     expected = [from_sympy(v) for v in to_sympy(m, ncols).nullspace()]
     if ncols:
-        assert nullspace(m, ncols) == expected
-        assert nullspace(sparse_rows(m), ncols) == expected
+        pivots = dense_oracle.rref(m)[1]
+        free = [f for f in range(ncols) if f not in pivots]
+        for basis in (nullspace(m, ncols), nullspace(sparse_rows(m), ncols)):
+            assert all(type(x) is int for v in basis for x in v.values())
+            assert [tuple(Fraction(v.get(j, 0), v[f]) for j in range(ncols))
+                    for v, f in zip(basis, free, strict=True)] == expected
 
 
 @EXAMPLES
@@ -130,6 +134,36 @@ def test_subspace_equality_unchanged(m, data):
         mixed.append({j: f * x for j, x in enumerate(row) if x})
     other = Subspace(ncols, mixed)
     assert other == space and hash(other) == hash(space)
+
+
+@EXAMPLES
+@given(matrices(), st.booleans(), st.data())
+def test_subspace_matches_the_dense_oracle(m, as_dicts, data):
+    ncols = width(m)
+    old = dense_oracle.Subspace(ncols, m)
+    new = Subspace(ncols, sparse_rows(m) if as_dicts else m)
+    assert new.pivots == old.pivots and new.dim == old.dim
+    assert new.basis == old.basis
+    value = LARGE if data.draw(st.booleans()) else SMALL
+    v = tuple(data.draw(value) for _ in range(ncols))
+    coeffs = [data.draw(SMALL) for _ in old.basis]
+    member = tuple(sum((f * row[j] for f, row in zip(coeffs, old.basis)),
+                       Fraction(0)) for j in range(ncols))
+    for probe in (v, member, tuple(map(sum, zip(v, member)))):
+        reduced = {j: x for j, x in enumerate(old.reduce(probe)) if x}
+        for given_as in (probe, {j: x for j, x in enumerate(probe) if x}):
+            assert new.contains(given_as) == old.contains(probe)
+            assert new.reduce(given_as) == reduced
+            assert new.coordinates(given_as) == old.coordinates(probe)
+    # the same span from shuffled rows plus a combination, and another span
+    same = list(data.draw(st.permutations(m)))
+    if m:
+        same.append(tuple(map(sum, zip(*m[:2]))))
+    for rows in (same, data.draw(matrices(cols=ncols))):
+        other = Subspace(ncols, rows)
+        assert (other == new) == (dense_oracle.Subspace(ncols, rows) == old)
+        if other == new:
+            assert hash(other) == hash(new)
 
 
 COMPONENTS = {
