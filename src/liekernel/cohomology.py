@@ -4,7 +4,8 @@ The differential is generated on dual-basis one-forms by
 de^k = -sum_{i<j} c^k_ij e_ij and extended as an antiderivation; this is
 the alternating-sum formula
 (da)(X_0..X_k) = sum_{i<j} (-1)^{i+j} a([X_i,X_j], X_0..^i..^j..X_k)
-packaged degree by degree, and d o d = 0 is exactly the Jacobi identity.
+packaged degree by degree, and d o d = 0 is exactly the Jacobi identity,
+so every complex validates its algebra when it is built.
 The differential matrices are kept as sparse integer rows of D d_k, with D
 the common denominator of the structure constants (`CEComplex.scale`),
 built by `exterior.derivation_rows` from the integer images D de^m, rows
@@ -16,10 +17,12 @@ form's int numerators and divides once per entry.  Ranks are taken by exact
 sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
 rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
 The pivot columns of that echelon span the column space of d_k, so Z^k is
-the integer null space of those columns alone; Z^k and B^k are `Subspace`s
-of integer rows, which `invariant_cohomology_dims` reads as they are.
+the integer null space of those columns alone, a `Subspace` of integer
+rows; B^k is never solved, only spanned by the rows of d_{k-1}.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
-`exterior.extend_as_derivation`.
+`exterior.extend_as_derivation`; `invariant_cohomology_dims` makes one
+`derivation_rows` call per degree over the basis forms that Z^i uses, and
+ranks the rows of d_{i-1} with L_a Z^i, all on the ideal's complex.
 """
 
 from __future__ import annotations
@@ -32,21 +35,24 @@ from .errors import DimensionMismatch, SubspaceError
 from .exterior import KForm, derivation_rows, extend_as_derivation, lex
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
-                     transpose, vec)
+                     vec)
+
+
+def _check_degree(k: int):
+    if k < 0:
+        raise DimensionMismatch(f"negative degree {k}")
 
 
 class CEComplex:
-    """CE differential matrices of one algebra, with cached Z^k and B^k.
+    """CE differential matrices of one algebra, with cached ranks and Z^k.
 
     The complex keeps only n and the scaled terms of D de^k, not the
     algebra: the algebra caches its complex (`complex_of`), and a reference
     back would make a cycle.
     """
 
-    def __init__(self, algebra: LieAlgebra, validate: bool = True):
-        if validate:
-            algebra.validate()
-        self._jacobi = validate  # so d o d = 0, which d_rank relies on
+    def __init__(self, algebra: LieAlgebra):
+        algebra.validate()  # so d o d = 0, which d_rank relies on
         self.n = n = algebra.n
         self.scale, br = algebra.scaled_brackets()
         # D de^m = -sum_{a<b} D c^m_ab e_ab
@@ -59,7 +65,6 @@ class CEComplex:
         self._rank: dict[int, int] = {}
         self._pivots: dict[int, set] = {}
         self._cocycles: dict[int, Subspace] = {}
-        self._coboundaries: dict[int, Subspace] = {}
 
     def d(self, form: KForm) -> KForm:
         """d of a form with int or Fraction coefficients, by `d_rows`."""
@@ -80,6 +85,7 @@ class CEComplex:
         """Sparse integer row i = {j: D times the coefficient of e_J_j in
         d(e_I_i)}, lex indices, D = `scale`."""
         if k not in self._rows:
+            _check_degree(k)
             col = lex(self.n, k + 1)[2]
             self._rows[k] = [
                 {col[b]: v for b, v in row.items() if v} for row in
@@ -93,6 +99,7 @@ class CEComplex:
 
     def d_rank(self, k: int) -> int:
         if k not in self._rank:
+            _check_degree(k)
             if k >= self.n:
                 self._rank[k] = 0
             else:
@@ -101,7 +108,7 @@ class CEComplex:
                 # d_k at a pivot column of d_{k-1} lies in the span of the
                 # rows off those columns, and dropping them keeps the rank
                 skip = ()
-                if k and self._jacobi:
+                if k:
                     self.d_rank(k - 1)
                     skip = self._pivots[k - 1]
                 rows = [r for i, r in enumerate(self.d_rows(k)) if i not in skip]
@@ -112,6 +119,7 @@ class CEComplex:
     def cocycles(self, k: int) -> Subspace:
         """Z^k as an explicit subspace of Lambda^k (lex coordinates)."""
         if k not in self._cocycles:
+            _check_degree(k)
             dim_k = comb(self.n, k)
             if k >= self.n:
                 self._cocycles[k] = Subspace(dim_k, identity(dim_k))
@@ -135,17 +143,9 @@ class CEComplex:
             return 0
         return comb(self.n, k) - self.d_rank(k) - (k and self.d_rank(k - 1))
 
-    def coboundaries(self, k: int) -> Subspace:
-        """B^k = d(Lambda^{k-1}) inside Lambda^k."""
-        if k not in self._coboundaries:
-            dim_k = comb(self.n, k)
-            rows = self.d_rows(k - 1) if 1 <= k <= self.n else []
-            self._coboundaries[k] = Subspace(dim_k, rows)
-        return self._coboundaries[k]
-
     def verify_d_squared(self) -> bool:
-        """d o d == 0 in every degree, as d_rows(k) d_rows(k+1) == 0;
-        fails iff Jacobi fails."""
+        """d o d == 0 in every degree, as d_rows(k) d_rows(k+1) == 0: a
+        check of the cached rows, as every complex's algebra passed Jacobi."""
         for k in range(self.n - 1):
             nxt = self.d_rows(k + 1)
             for row in self.d_rows(k):
@@ -223,34 +223,38 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
         raise SubspaceError("element does not span a complement of the ideal")
     sub = g.subalgebra(ideal, name="ideal")
     m = sub.n
-    # ad_a compressed to the ideal, in the ideal's echelon basis
-    action_rows = []
-    for v in ideal.basis:
-        w = g.bracket(a, v)
-        coords = ideal.coordinates(w)
-        if coords is None:
-            raise SubspaceError("[a, ideal] is not contained in the ideal")
-        action_rows.append(coords)
+    # ad_a compressed to the ideal: row i is the coordinates of [a, v_i] in
+    # the ideal's echelon basis, which is_ideal has shown to exist
+    action_rows = [ideal.coordinates(g.bracket(a, v)) for v in ideal.basis]
     # L_a = -ad_a^*: L_a e^j = -sum_i e^j([a, v_i]) e^i, times the common
     # denominator l of the action, so images and L_a Z^i are ints
     l = lcm(*(q.denominator for row in action_rows for q in row))
-    images = [{1 << i: -q.numerator * (l // q.denominator)
-               for i, q in enumerate(row) if q}
-              for row in transpose(action_rows)]
+    images: list[dict] = [{} for _ in range(m)]
+    for i, row in enumerate(action_rows):
+        for j, q in enumerate(row):
+            if q:
+                images[j][1 << i] = -q.numerator * (l // q.denominator)
 
+    # g validates and k is an ideal, so L_a is a chain map of the complex
+    # of k and maps Z^i into Z^i
     cx = complex_of(sub)
     dims = []
     for i in range(m + 1):
         zc = cx.cocycles(i)
-        bits, pos = lex(m, i)[1:]
+        ixs, bits, pos = lex(m, i)
+        # L_a of the basis forms the cocycles use, one kernel call a degree
+        used = sorted(set().union(*zc.rows))
+        image_of = dict(zip(used, derivation_rows(
+            images, [(ixs[c], bits[c]) for c in used])))
         moved = []
         for z in zc.rows:
-            image = extend_as_derivation(images, {bits[c]: v
-                                                  for c, v in z.items()})
-            lz = {pos[b]: v for b, v in image.items() if v}
-            if not zc.contains(lz):
-                raise SubspaceError("induced action left Z^i; ideal data corrupt")
-            moved.append(lz)
-        # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i)
-        dims.append(zc.dim - rank(cx.coboundaries(i).rows + moved, comb(m, i)))
+            acc: dict[int, int] = {}
+            for c, v in z.items():
+                for b, w in image_of[c].items():
+                    acc[b] = acc.get(b, 0) + v * w
+            moved.append({pos[b]: w for b, w in acc.items() if w})
+        # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i),
+        # B^i spanned by the rows of d_{i-1}
+        boundary = cx.d_rows(i - 1) if i else []
+        dims.append(zc.dim - rank(boundary + moved, comb(m, i)))
     return dims

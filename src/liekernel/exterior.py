@@ -367,6 +367,8 @@ def evaluate(form: KForm, *vectors) -> Fraction:
     """
     if len(vectors) != form.k:
         raise DimensionMismatch("wrong number of arguments")
+    if any(len(v) != form.n for v in vectors):
+        raise DimensionMismatch("argument outside the space of the form")
     total = Fraction(0)
     for bits, c in form.coeffs.items():
         ixs = indices_of(bits)

@@ -46,9 +46,10 @@ class LieKernel:
     def __init__(self, algebra: LieAlgebra):
         self.complex = cx = complex_of(algebra)
         self.n = n = algebra.n
-        self.space = Subspace(comb(n, 2), nullspace(cx.d_rows(1), comb(n, 2)))
-        self.exact_two_forms = cx.coboundaries(2)
-        pivots = set(self.exact_two_forms.pivots)
+        # one reduction of d_1: B^2 = d(g*) is its row space, P its null space
+        self.exact_two_forms = b2 = Subspace(comb(n, 2), cx.d_rows(1))
+        self.space = Subspace(comb(n, 2), nullspace(b2.rows, comb(n, 2)))
+        pivots = set(b2.pivots)
         self.slice = [c for c in range(comb(n, 2)) if c not in pivots]
 
     @property

@@ -187,22 +187,6 @@ def nullspace(rows, ncols: int | None = None) -> list[dict]:
     return basis
 
 
-def solve(a_rows, b: Vector) -> Vector | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    a_rows = list(a_rows)
-    if len(b) != len(a_rows):
-        raise DimensionMismatch("right-hand side has wrong length")
-    ncols = len(a_rows[0]) if a_rows else 0
-    aug = [tuple(row) + (bi,) for row, bi in zip(a_rows, b, strict=True)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][-1]
-    return tuple(x)
-
-
 def det(rows) -> Fraction:
     """Exact determinant: the echelon's diagonal with every scaling undone."""
     rows = list(rows)
@@ -226,6 +210,8 @@ def det(rows) -> Fraction:
 
 def inverse(rows) -> Matrix:
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("inverse of a non-square matrix")
     aug = [tuple(map(Fraction, row)) + unit(n, i) for i, row in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

@@ -8,7 +8,7 @@ from liekernel import (CEComplex, LieAlgebra, Subspace, basis_form,
                        basis_vector, betti, ce_differential, complex_of,
                        evaluate, invariant_cohomology_dims, is_23_trivial,
                        lie_derivative, multi_indices, parse_algebra)
-from liekernel.errors import DimensionMismatch, SubspaceError
+from liekernel.errors import DimensionMismatch, JacobiError, SubspaceError
 from liekernel.families import (FAMILY_NAMES, TABLE_EXCLUDED, TABLE_GRIDS,
                                 FamilySpec, _make_family_unchecked, load_corpus,
                                 su3)
@@ -80,8 +80,26 @@ def test_d_squared_zero_iff_jacobi():
     assert CEComplex(good).verify_d_squared()
     bad = LieAlgebra.from_brackets(
         3, {(1, 2): {3: 1}, (2, 3): {2: 1}}, validate=False)
-    assert not bad.is_valid()
-    assert not CEComplex(bad, validate=False).verify_d_squared()
+    with pytest.raises(JacobiError):
+        CEComplex(bad)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_d_squared_catches_a_corrupt_cached_row(k):
+    cx = CEComplex(su3())
+    assert cx.verify_d_squared()
+    row = next(r for r in cx.d_rows(k) if r)
+    j = next(iter(row))
+    row[j] = -row[j]
+    assert not cx.verify_d_squared()
+
+
+@pytest.mark.parametrize("method", ["d_rows", "d_rank", "cocycles"])
+def test_negative_degree_is_a_dimension_mismatch(method):
+    cx = CEComplex(parse_algebra("(0,0,12)"))
+    with pytest.raises(DimensionMismatch):
+        getattr(cx, method)(-1)
+    assert cx.d_rank(3) == 0 and cx.betti_number(-1) == 0
 
 
 def test_is_23_trivial_examples():

@@ -205,6 +205,16 @@ def test_evaluate_against_minors():
     assert evaluate(f, (1, 2, 3), (0, 1, 0)) == -5
 
 
+@pytest.mark.parametrize("form, vectors", [
+    (basis_form(3, 1), [(1, 0, 0, 5)]),
+    (basis_form(3, 3), [(1, 0)]),
+    (basis_form(3, 1, 2), [(1, 0, 0), (0, 1)]),
+])
+def test_evaluate_takes_only_vectors_of_the_form_space(form, vectors):
+    with pytest.raises(DimensionMismatch):
+        evaluate(form, *vectors)
+
+
 def test_pullback_functorial(rng):
     for _ in range(25):
         n = rng.randint(2, 5)

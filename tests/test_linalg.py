@@ -5,7 +5,7 @@ import pytest
 
 from liekernel.errors import DimensionMismatch, LieKernelError
 from liekernel.linalg import (Subspace, det, inverse, is_positive_definite,
-                              nullspace, rank, rref, solve)
+                              nullspace, rank, rref)
 
 
 def random_matrix(rng, rows, cols, span=6):
@@ -39,16 +39,6 @@ def test_nullspace_is_kernel():
                        for r in m)
 
 
-def test_solve_consistent_and_inconsistent():
-    a = [(1, 2), (3, 4)]
-    x = solve(a, (Fraction(5), Fraction(11)))
-    assert x == (Fraction(1), Fraction(2))
-    # inconsistent system
-    assert solve([(1, 1), (2, 2)], (Fraction(1), Fraction(3))) is None
-    with pytest.raises(DimensionMismatch):
-        solve([(1, 2)], (3, 4))
-
-
 def test_det_and_inverse():
     rng = random.Random(13)
     for _ in range(40):
@@ -64,6 +54,9 @@ def test_det_and_inverse():
                 for i in range(n)]
         assert prod == [[Fraction(int(i == j)) for j in range(n)]
                         for i in range(n)]
+    for m in ([(1, 2)], [(1,), (2,)], [(1, 0), (0, 1, 0)]):
+        with pytest.raises(DimensionMismatch):
+            inverse(m)
 
 
 def test_positive_definite():

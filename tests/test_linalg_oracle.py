@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from liekernel import LieAlgebra, betti, parse_algebra
 from liekernel.errors import LieKernelError
-from liekernel.linalg import (Subspace, det, inverse, nullspace, rank, rref,
-                              solve)
+from liekernel.linalg import Subspace, det, inverse, nullspace, rank, rref
 
 SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 LARGE = st.builds(Fraction, st.integers(-10**30, 10**30),
@@ -91,21 +90,6 @@ def test_nullspace_matches_sympy(m):
             assert all(type(x) is int for v in basis for x in v.values())
             assert [tuple(Fraction(v.get(j, 0), v[f]) for j in range(ncols))
                     for v, f in zip(basis, free, strict=True)] == expected
-
-
-@EXAMPLES
-@given(matrices(), st.data())
-def test_solve_matches_sympy(m, data):
-    ncols = width(m)
-    b = tuple(data.draw(SMALL) for _ in m)
-    try:
-        sol, params = to_sympy(m, ncols).gauss_jordan_solve(
-            sympy.Matrix(len(m), 1, list(b)))
-    except ValueError:  # sympy: the system is inconsistent
-        assert solve(m, b) is None
-        return
-    expected = from_sympy(sol.subs({t: 0 for t in params}))
-    assert solve(m, b) == expected
 
 
 @EXAMPLES
