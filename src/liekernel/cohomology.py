@@ -19,6 +19,15 @@ rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
 The pivot columns of that echelon span the column space of d_k, so Z^k is
 the integer null space of those columns alone, a `Subspace` of integer
 rows; B^k is never solved, only spanned by the rows of d_{k-1}.
+For unimodular g, d: Lambda^{n-1} -> Lambda^n vanishes, so
+0 = d(a ^ b) = da ^ b +- a ^ db makes d_k and d_{n-1-k} adjoint under the
+wedge pairing (Poincare duality): the columns of d_k whose complements are
+pivots of d_{n-2-k} are as dependent as the rows of d_{n-1-k} at those
+pivots.  `betti` ranks each d_k of the upper half once on the core off
+both cuts (`dual_ranks`), rank d_k + b_k rows by rank d_k + b_{k+1}
+columns, where the plain path keeps all C(n, k+1) columns.  `d_rank`,
+`betti_number` and `cocycles` stay the plain per-degree path, so the
+duality checks that read them (the corpus, the tests) assume nothing.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
 `exterior.extend_as_derivation`; `invariant_cohomology_dims` makes one
 `derivation_rows` call per degree over the basis forms that Z^i uses, and
@@ -116,6 +125,38 @@ class CEComplex:
                 self._rank[k] = rank(rows, comb(self.n, k + 1), pivots=pivots)
         return self._rank[k]
 
+    def dual_ranks(self) -> list[int]:
+        """rank d_k for k = 0..n, valid only for a unimodular algebra.
+
+        There d_k and d_{n-1-k} are adjoint under the wedge pairing, up to
+        the signed complement of their indices, so the columns e_J of d_k
+        whose complements [n] - J are pivots of d_{n-2-k} depend on the rest
+        as the rows of d_{n-1-k} at those pivots do (`d_rank`).  The lower
+        half, 2k <= n - 2, is `d_rank`; each d_k above it is ranked once on
+        its core, off the rows at the pivots of d_{k-1} and the columns
+        paired with the pivots of d_{n-2-k}, which the lower half has
+        given.  Those core pivots span the columns of d_k, so they cut the
+        rows of d_{k+1}, but they are not the echelon's that `cocycles`
+        reads: nothing above the lower half is cached.
+        """
+        n, full = self.n, (1 << self.n) - 1
+        ranks, pivots = [], []
+        for k in range(n):
+            if 2 * k <= n - 2:
+                ranks.append(self.d_rank(k))
+                pivots.append(self._pivots[k])
+                continue
+            skip, cut = (pivots[k - 1] if k else ()), set()
+            if k < n - 1:
+                bits, pos = lex(n, n - 1 - k)[1], lex(n, k + 1)[2]
+                cut = {pos[full ^ bits[p]] for p in pivots[n - 2 - k]}
+            rows = [{j: v for j, v in r.items() if j not in cut}
+                    for i, r in enumerate(self.d_rows(k)) if i not in skip]
+            found: set = set()
+            ranks.append(rank(rows, comb(n, k + 1), pivots=found))
+            pivots.append(found)
+        return ranks + [0]
+
     def cocycles(self, k: int) -> Subspace:
         """Z^k as an explicit subspace of Lambda^k (lex coordinates)."""
         if k not in self._cocycles:
@@ -186,11 +227,21 @@ class CohomologyReport:
 
 
 def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
+    """dim Z^k, dim B^k and b_k of g for k = 0..n, from the ranks of d_k.
+
+    For unimodular g each d_k above the lower half is ranked on its
+    Poincare duality core (`CEComplex.dual_ranks`); other algebras rank
+    every d_k by `CEComplex.d_rank`, which stays the plain per-degree path.
+    """
     cx = complex if complex is not None else complex_of(g)
-    n, ks = g.n, range(g.n + 1)
-    return CohomologyReport(n, tuple(comb(n, k) - cx.d_rank(k) for k in ks),
-                            tuple(k and cx.d_rank(k - 1) for k in ks),
-                            tuple(cx.betti_number(k) for k in ks))
+    n = g.n
+    r = (cx.dual_ranks() if g.is_unimodular()
+         else [cx.d_rank(k) for k in range(n + 1)])
+    ks = range(n + 1)
+    return CohomologyReport(n, tuple(comb(n, k) - r[k] for k in ks),
+                            tuple(k and r[k - 1] for k in ks),
+                            tuple(comb(n, k) - r[k] - (k and r[k - 1])
+                                  for k in ks))
 
 
 def is_23_trivial(g: LieAlgebra) -> bool:
