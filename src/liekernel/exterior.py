@@ -397,8 +397,11 @@ def pullback(form: KForm, matrix) -> KForm:
 def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
     """Hodge star of a k-form for a positive-definite gram matrix.
 
-    The volume form is sqrt(det gram) e_{1..n}; this stays exact only when
-    det gram is a rational square, otherwise HodgeError is raised.
+    <e_I, a>_g is the e_I coefficient of the pullback of a by gram^-1, a
+    transposed minor that the checked symmetry of the gram makes equal; it
+    goes to the complement of I with its wedge sign.  The volume form is
+    sqrt(det gram) e_{1..n}, exact only when det gram is a rational square,
+    otherwise HodgeError is raised.
     """
     n = a.n
     if orientation not in (1, -1):
@@ -416,21 +419,7 @@ def hodge_star(a: KForm, gram=None, orientation: int = 1) -> KForm:
     vol_scale = linalg.rational_root(linalg.det(gram), 2)
     if vol_scale is None:
         raise HodgeError("det(gram) is not a rational square; no exact volume")
-    ginv = linalg.inverse(gram)
-    k = a.k
-    full = (1 << n) - 1
-    acc: dict[int, object] = {}
-    for src, sbits in zip(*lex(n, k)[:2]):
-        # <e_src, a> in the Lambda^k inner product induced by gram
-        val = Fraction(0)
-        for bits, c in a.coeffs.items():
-            tgt = indices_of(bits)
-            minor = [[ginv[i][j - 1] for j in tgt] for i in src]
-            val += c * linalg.det(minor)
-        if not val:
-            continue
-        comp = full ^ sbits
-        s = wedge_sign(sbits, comp)
-        coeff = val * vol_scale * s * orientation
-        acc[comp] = acc.get(comp, Fraction(0)) + coeff
-    return KForm(n, n - k, {b: c for b, c in acc.items() if c})
+    full, scale = (1 << n) - 1, vol_scale * orientation
+    return KForm(n, n - a.k, {
+        full ^ b: c * scale * wedge_sign(b, full ^ b)
+        for b, c in pullback(a, linalg.inverse(gram)).coeffs.items()})

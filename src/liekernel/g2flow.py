@@ -4,10 +4,12 @@ The flow reduction lives on a four-manifold carrying three wedge-orthogonal
 symplectic forms; with curvature coefficients frozen in the initial frame
 (dTheta = (Omega_1, Omega_2) F) the evolution collapses to an ODE for the
 coefficient matrix M(t), the wedge matrix Q(t) = M M^T and the conformal
-factor h(t).  The closed-form solution is M = 1 + tA with A = F J, and a
-polynomial-coefficient exterior algebra certifies d phi = 0 = d *phi as
-identities in t; its spatial d is `exterior.extend_as_derivation` on `Poly`
-images, so the flow needs no CE complex.
+factor h(t).  The closed form M = 1 + tA with A = F J, Q = M M^T and h =
+det M is written once, `_evolution`, for t a Fraction (`flow_closed_form`)
+or the polynomial t of a polynomial-coefficient exterior algebra, which
+certifies d phi = 0 = d *phi as identities in t; its spatial d is
+`exterior.extend_as_derivation` on `Poly` images, so the flow needs no CE
+complex.
 
 Naming: F is always the matrix of curvature coefficients in the frozen
 frame and A = F J its symplectic twist; the two are kept distinct because
@@ -47,10 +49,6 @@ class Poly:
     @classmethod
     def t(cls) -> "Poly":
         return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -98,12 +96,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = Poly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -306,10 +298,7 @@ def standard_hyperkahler_triple() -> CoherentTripleFrame:
 
 def lift_base_form(form: KForm, n: int, shift: int) -> KForm:
     """Reindex a base form into a larger space, indices moved up by shift."""
-    out = {}
-    for ixs, c in form.terms():
-        out[tuple(i + shift for i in ixs)] = c
-    return KForm.from_terms(n, out, form.k)
+    return KForm(n, form.k, {b << shift: c for b, c in form.coeffs.items()})
 
 
 @dataclass
@@ -395,21 +384,22 @@ def _curvature_twist(f_mat) -> tuple:
     return mat2_mul(mat2(f_mat), J2)
 
 
-def _h_poly(a_mat) -> Poly:
-    """det(1 + tA) = det(A) t^2 + Tr(A) t + 1."""
-    return Poly((1, mat2_tr(a_mat), mat2_det(a_mat)))
+def _evolution(a_mat, t) -> tuple:
+    """(M, Q, h) = (1 + tA, M M^T, det M) for t a Fraction or Poly.t()."""
+    m = tuple(tuple(int(i == j) + t * a_mat[i][j] for j in range(2))
+              for i in range(2))
+    return m, mat2_mul(m, tuple(zip(*m))), mat2_det(m)
 
 
 def _interval_contains(a_mat, t: Fraction) -> bool:
-    """Is [0, t] free of zeros of det(1 + sA)?"""
-    h = _h_poly(a_mat)
-    if h(t) <= 0:
+    """Is [0, t] free of zeros of det(1 + sA) = det(A) s^2 + Tr(A) s + 1?"""
+    if _evolution(a_mat, t)[2] <= 0:
         return False
     det_a = mat2_det(a_mat)
     if det_a > 0:
         vertex = -mat2_tr(a_mat) / (2 * det_a)
         between = (0 < vertex < t) if t > 0 else (t < vertex < 0)
-        if between and h(vertex) <= 0:
+        if between and _evolution(a_mat, vertex)[2] <= 0:
             return False
     return True
 
@@ -436,12 +426,7 @@ def flow_closed_form(f_mat, t) -> FlowState:
     t = Fraction(t)
     if not _interval_contains(a, t):
         raise FlowError(f"t = {t} lies outside the maximal interval")
-    m = tuple(
-        tuple(Fraction(int(i == j)) + t * a[i][j] for j in range(2))
-        for i in range(2))
-    mt = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-    q = mat2_mul(m, mt)
-    return FlowState(t, f_mat, a, m, q, mat2_det(m))
+    return FlowState(t, f_mat, a, *_evolution(a, t))
 
 
 def completeness_classify(f_mat) -> str:
@@ -563,6 +548,9 @@ class OrderStudy:
 
 
 _ROUNDOFF_FLOOR = 1e-13
+# step halvings of both order studies, and the self-test's first step
+_HALVINGS = 3
+_SELFTEST_STEP = 0.1
 
 
 def _order_study(steps: list, errors: list) -> OrderStudy:
@@ -574,8 +562,7 @@ def _order_study(steps: list, errors: list) -> OrderStudy:
     return OrderStudy(steps, errors, [], math.inf, True)
 
 
-def flow_order_study(f_mat, t_end: float, base_step: float,
-                     halvings: int = 3) -> OrderStudy:
+def flow_order_study(f_mat, t_end: float, base_step: float) -> OrderStudy:
     """Step-halving study of flow_integrate against the closed form.
 
     The reduced constant-curvature system happens to be integrated by RK4
@@ -584,7 +571,7 @@ def flow_order_study(f_mat, t_end: float, base_step: float,
     the flow itself the study typically bottoms out at roundoff; the
     observed order is then reported as infinite and flagged.
     """
-    steps = [base_step / 2 ** i for i in range(halvings + 1)]
+    steps = [base_step / 2 ** i for i in range(_HALVINGS + 1)]
     cf = flow_closed_form(mat2(f_mat), Fraction(t_end).limit_denominator(10 ** 14))
     target = [float(x) for x in (cf.Q[0][0], cf.Q[0][1], cf.Q[1][1], cf.h)]
     errors = []
@@ -595,8 +582,7 @@ def flow_order_study(f_mat, t_end: float, base_step: float,
     return _order_study(steps, errors)
 
 
-def rk4_stepper_order_selftest(base_step: float = 0.1,
-                               halvings: int = 3) -> OrderStudy:
+def rk4_stepper_order_selftest() -> OrderStudy:
     """Observed order of the shared stepper on y' = cos(t) y over [0, 2].
 
     This right-hand side has genuine truncation error, so it certifies
@@ -607,7 +593,7 @@ def rk4_stepper_order_selftest(base_step: float = 0.1,
         return [math.cos(t) * y[0]]
 
     target = math.exp(math.sin(2.0))
-    steps = [base_step / 2 ** i for i in range(halvings + 1)]
+    steps = [_SELFTEST_STEP / 2 ** i for i in range(_HALVINGS + 1)]
     errors = [abs(rk4_integrate(rhs, [1.0], 2.0, s)[0] - target)
               for s in steps]
     return _order_study(steps, errors)
@@ -642,13 +628,7 @@ class FlowDGA:
             self.omega1 * self.f[0][1] + self.omega2 * self.f[1][1],
         ]
         self._images = [img.coeffs for img in images] + [{}] * 5
-        tp = Poly.t()
-        self.m = tuple(
-            tuple(Poly.const(int(i == j)) + tp * self.a[i][j] for j in range(2))
-            for i in range(2))
-        self.q = mat2_mul(self.m, ((self.m[0][0], self.m[1][0]),
-                                   (self.m[0][1], self.m[1][1])))
-        self.h = (self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0])
+        self.m, self.q, self.h = _evolution(self.a, Poly.t())
         self.sigma1 = self.omega1 * self.m[0][0] + self.omega2 * self.m[0][1]
         self.sigma2 = self.omega1 * self.m[1][0] + self.omega2 * self.m[1][1]
         for i, img in enumerate(images):

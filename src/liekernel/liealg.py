@@ -1,14 +1,14 @@
 """Lie algebra structure: bracket, series, derivations, direct sums.
 
-Every constructor in the package goes through `LieAlgebra.from_brackets`,
-which takes the nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j
-and stores each constant straight into the sparse sc[i][j] = {k: c^k_ij}
-(Fractions, ascending k), as q at (i, j) and -q at (j, i); most constants
-of a real algebra are zero.  `LieAlgebra(c)` still takes a dense tensor
-from callers that build one, and checks its shape and antisymmetry.  The
-dense c[i][j][k] = coefficient of e_k in [e_i, e_j] is a read-only view,
-built from sc on first read, for the callers that index it.  `brackets`
-hands the nonzeros back in the form `from_brackets` takes.
+There is one way in, the fill of `LieAlgebra.from_brackets`: it takes the
+nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j and stores each
+constant straight into the sparse sc[i][j] = {k: c^k_ij} (Fractions,
+ascending k), as q at (i, j) and -q at (j, i); most constants of a real
+algebra are zero.  `LieAlgebra(c)` is a checked adapter for a dense tensor:
+it checks shape and antisymmetry and hands the upper triangle to that fill.
+The dense c[i][j][k] = coefficient of e_k in [e_i, e_j] is a read-only
+view, built from sc on first read, for the callers that index it.
+`brackets` hands the nonzeros back in the form `from_brackets` takes.
 `scaled_brackets` keeps them once more, times their common denominator D,
 as integers, for the Jacobi test, the integer CE rows and the integer
 columns of ad.  The derived and lower central series are computed once per
@@ -20,7 +20,7 @@ series.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
@@ -30,30 +30,31 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
+def _check_dim(n: int):
+    if n > 16:
+        raise LieKernelError(f"dimension {n} above the supported 16")
+
+
 class LieAlgebra:
     def __init__(self, c, name: str | None = None, _validate: bool = True):
+        """Checked adapter from a dense c[i][j][k] = coefficient of e_k in
+        [e_i, e_j]: its shape and antisymmetry are checked, and the nonzeros
+        over i < j go to the fill of `from_brackets`."""
         n = len(c)
-        self._init(n, name)
-        c = tuple(tuple(vec(row) for row in plane) for plane in c)
+        _check_dim(n)
+        c = [[vec(row) for row in plane] for plane in c]
         if any(len(p) != n or any(len(r) != n for r in p) for p in c):
             raise DimensionMismatch("structure constants are not n x n x n")
-        self.sc = tuple(tuple({k: q for k, q in enumerate(row) if q}
-                              for row in plane) for plane in c)
-        self._c = c
-        self._check_antisymmetry()
+        for i, j in combinations_with_replacement(range(n), 2):
+            for k, (p, q) in enumerate(zip(c[i][j], c[j][i])):
+                if (p or q) and p != -q:
+                    raise JacobiError(
+                        f"antisymmetry fails at c^{k+1}_{{{i+1},{j+1}}}")
+        self._fill(n, {(i + 1, j + 1): {k + 1: q for k, q in
+                                        enumerate(c[i][j]) if q}
+                       for i, j in combinations(range(n), 2)}, name)
         if _validate:
             self.validate()
-
-    def _init(self, n: int, name: str | None):
-        if n > 16:
-            raise LieKernelError(f"dimension {n} above the supported 16")
-        self.n, self.name, self._validated = n, name, False
-        # caches filled on first use by the c property, scaled_brackets,
-        # the two series (after validation, so an algebra that fails Jacobi
-        # caches none), cohomology.complex_of, kernelmap.lie_kernel and the
-        # per-unit ad rows of kernelmap.scaled_ad
-        self._c = self._scaled = self._derived = self._lower = None
-        self._complex = self._kernel = self._ad_rows = None
 
     @classmethod
     def unchecked(cls, c, name: str | None = None) -> "LieAlgebra":
@@ -69,7 +70,18 @@ class LieAlgebra:
                       validate: bool = True) -> "LieAlgebra":
         """brackets maps 1-based (i, j) with i<j to {k: coeff} for [e_i,e_j]."""
         g = cls.__new__(cls)
-        g._init(n, name)
+        g._fill(n, brackets, name)
+        return g.validate() if validate else g
+
+    def _fill(self, n: int, brackets: dict, name: str | None):
+        _check_dim(n)
+        self.n, self.name, self._validated = n, name, False
+        # caches filled on first use by the c property, scaled_brackets,
+        # the two series (after validation, so an algebra that fails Jacobi
+        # caches none), cohomology.complex_of, kernelmap.lie_kernel and the
+        # per-unit ad rows of kernelmap.scaled_ad
+        self._c = self._scaled = self._derived = self._lower = None
+        self._complex = self._kernel = self._ad_rows = None
         sc = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), comps in brackets.items():
             if not 1 <= i < j <= n:
@@ -82,8 +94,7 @@ class LieAlgebra:
                 if q:
                     sc[i - 1][j - 1][k - 1] = q
                     sc[j - 1][i - 1][k - 1] = -q
-        g.sc = tuple(map(tuple, sc))
-        return g.validate() if validate else g
+        self.sc = tuple(map(tuple, sc))
 
     @property
     def c(self) -> tuple:
@@ -101,16 +112,6 @@ class LieAlgebra:
         return {(i + 1, j + 1): {k + 1: q for k, q in row.items()}
                 for i, plane in enumerate(self.sc)
                 for j, row in enumerate(plane) if i < j and row}
-
-    def _check_antisymmetry(self):
-        # c^k_ij = -c^k_ji can only fail where one side is nonzero
-        for i in range(self.n):
-            for j in range(i, self.n):
-                ij, ji = self.sc[i][j], self.sc[j][i]
-                for k in sorted(ij.keys() | ji.keys()):
-                    if ij.get(k, 0) != -ji.get(k, 0):
-                        raise JacobiError(
-                            f"antisymmetry fails at c^{k+1}_{{{i+1},{j+1}}}")
 
     def validate(self) -> "LieAlgebra":
         """Check the Jacobi identity once; cached afterwards."""
@@ -143,13 +144,6 @@ class LieAlgebra:
                        for m, q in row.items()} for row in plane)
                 for plane in self.sc)
         return self._scaled
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-            return True
-        except JacobiError:
-            return False
 
     def bracket(self, x, y) -> Vector:
         x, y = vec(x), vec(y)
@@ -238,11 +232,8 @@ class LieAlgebra:
     def is_unimodular(self) -> bool:
         """tr(ad_x) = 0 for every x."""
         self.validate()
-        trace = [_ZERO] * (self.n + 1)
-        for (i, j), comps in self.brackets().items():
-            trace[i] += comps.get(j, 0)  # c^j_ij, and c^i_ji = -c^i_ij
-            trace[j] -= comps.get(i, 0)
-        return not any(trace)
+        return not any(sum(row.get(j, 0) for j, row in enumerate(plane))
+                       for plane in self.sc)
 
     # -- constructions ---------------------------------------------------------
 

@@ -301,7 +301,9 @@ def test_non_finite_floats_are_strings(capsys):
     assert payload["result"]["steps"] == 2
 
 
-STDLIB_ONLY = """
+# a meta-path finder that refuses every module outside the standard library
+# and the package itself
+STDLIB_GUARD = """
 import sys
 
 class StdlibOnly:
@@ -311,6 +313,8 @@ class StdlibOnly:
             raise ImportError(f"{name} is not in the standard library")
 
 sys.meta_path.insert(0, StdlibOnly())
+"""
+STDLIB_ONLY = STDLIB_GUARD + """
 from liekernel.cli import main
 sys.exit(main())
 """
@@ -334,8 +338,8 @@ def test_float_paths_run_on_the_standard_library_alone():
         assert json.loads(proc.stdout)["schema"] == "liekernel-report/1"
 
 
-LOADED_MODULES = """
-import contextlib, io, sys
+LOADED_MODULES = STDLIB_GUARD + """
+import contextlib, io
 from liekernel import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:] + ["--json"])

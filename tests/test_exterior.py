@@ -11,6 +11,7 @@ from liekernel import (KForm, KVector, Poly, basis_form, basis_vector,
 from liekernel.exterior import (MAX_DIM, bits_of, derivation_rows,
                                 extend_as_derivation, lex, multi_indices)
 from liekernel.errors import DimensionMismatch, HodgeError, LieKernelError
+from liekernel.linalg import inverse
 
 
 def e(*ix):
@@ -183,6 +184,42 @@ def test_hodge_star_nontrivial_gram():
     f = KForm.from_terms(2, {(1,): Fraction(1)})
     star = hodge_star(f, gram)
     assert star == KForm.from_terms(2, {(2,): Fraction(1, 2)})
+
+
+def _unimodular_gram(rng, n):
+    """P^T diag(1, 4, 9, ...) P for a random integer unimodular P = L U, so
+    the gram is positive-definite, full of off-diagonal entries, and its
+    determinant is the rational square (n!)^2."""
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    p = [[sum(lower[i][m] * upper[m][j] for m in range(n)) for j in range(n)]
+         for i in range(n)]
+    return [[sum(p[m][i] * (m + 1) ** 2 * p[m][j] for m in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def test_hodge_star_on_a_non_diagonal_gram(rng):
+    for n in range(3, 6):
+        top = tuple(range(1, n + 1))
+        for _ in range(3):
+            gram = _unimodular_gram(rng, n)
+            assert any(gram[i][j] for i in range(n) for j in range(i))
+            vol = hodge_star(KForm.from_terms(n, {(): Fraction(1)}), gram)
+            ginv = inverse(gram)
+            # e_i ^ *e_j = (gram^-1)_ij vol on one-forms
+            for i in range(n):
+                for j in range(n):
+                    assert wedge(basis_form(n, i + 1),
+                                 hodge_star(basis_form(n, j + 1), gram)) \
+                        == vol * ginv[i][j]
+            for k in range(n + 1):
+                a, b = random_form(rng, n, k), random_form(rng, n, k)
+                star_a, star_b = hodge_star(a, gram), hodge_star(b, gram)
+                assert wedge(a, star_b) == wedge(b, star_a)
+                assert a.is_zero() or wedge(a, star_a)[top] > 0
+                assert hodge_star(star_a, gram) == a * (-1) ** (k * (n - k))
 
 
 def test_hodge_star_orientation_flip():

@@ -497,6 +497,28 @@ def test_dga_evolution_identities():
         assert all(ids.values()), (f_mat, ids)
 
 
+def test_dga_and_closed_form_share_one_evolution():
+    # the Poly matrices of the DGA, evaluated at a rational t inside the
+    # maximal interval, are the Fraction matrices of the closed form
+    f_mats = TRACE_FREE + [((0, 0), (0, 0)), ((1, 0), (0, 1)),
+                           ((0, 2), (-2, 0)), ((0, -1), (2, 0)),
+                           ((0, 1), (-2, 0)), ((0, 1), (1, 0)),
+                           ((2, 0), (0, -1))]
+    checked = 0
+    for f_mat in f_mats:
+        dga = FlowDGA(f_mat)
+        lo, hi = max_interval(f_mat)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(-1, 4)):
+            if not lo < t < hi:
+                continue
+            st = flow_closed_form(f_mat, t)
+            at = lambda mat: tuple(tuple(p(t) for p in row) for row in mat)
+            assert at(dga.m) == st.M and at(dga.q) == st.Q, (f_mat, t)
+            assert dga.h(t) == st.h, (f_mat, t)
+            checked += 1
+    assert checked > 2 * len(f_mats)
+
+
 def test_dga_h_squared_is_det_q():
     dga = FlowDGA(((1, 2), (3, -1)))
     (q11, q12), (_, q22) = dga.q

@@ -11,6 +11,7 @@ from liekernel.families import (TABLE_GRIDS, FamilySpec, load_corpus,
                                 seven_dim_characteristically_nilpotent)
 from liekernel.liealg import (is_nilpotent_matrix, matrix_commutator,
                               matrix_lie_algebra)
+from liekernel.parser import expr_of, serialize
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,63 @@ def test_antisymmetry_witness_is_first_failing_entry(rng):
         with pytest.raises(JacobiError,
                            match=rf"^antisymmetry fails at c\^{k+1}_\{{{i+1},{j+1}\}}$"):
             LieAlgebra.unchecked(c)
+
+
+def _sparse_constants(g):
+    return [[list(row.items()) for row in plane] for plane in g.sc]
+
+
+def _permuted_rescaled(g, rng):
+    """g in the basis e'_a = s_a e_perm(a), s_a nonzero rationals: the dense
+    tensor, and the brackets mapped one nonzero at a time."""
+    n = g.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = {p: a for a, p in enumerate(perm)}
+    s = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 3)))
+         * rng.choice((1, -1)) for _ in range(n)]
+    dense = [[[g.c[perm[a]][perm[b]][perm[d]] * s[a] * s[b] / s[d]
+               for d in range(n)] for b in range(n)] for a in range(n)]
+    brackets = {}
+    for (i, j), comps in g.brackets().items():
+        a, b = inv[i - 1], inv[j - 1]
+        sign = 1 if a < b else -1
+        row = brackets.setdefault((min(a, b) + 1, max(a, b) + 1), {})
+        for k, q in comps.items():
+            d = inv[k - 1]
+            row[d + 1] = sign * q * s[a] * s[b] / s[d]
+    return dense, LieAlgebra.from_brackets(n, brackets)
+
+
+def test_dense_adapter_reproduces_the_sparse_algebra(rng):
+    fixtures = [(e.name, e.algebra) for e in load_corpus()]
+    assert len(fixtures) == 32
+    su3 = dict(fixtures)["su3"]
+    dense, ref = _permuted_rescaled(su3, rng)
+    assert any(q.denominator > 1 for plane in ref.sc for row in plane
+               for q in row.values())
+    cases = [(name, g.c, g) for name, g in fixtures]
+    for label, c, g in cases + [("su3 rescaled", dense, ref)]:
+        for h in (LieAlgebra(c), LieAlgebra.unchecked(c)):
+            assert _sparse_constants(h) == _sparse_constants(g), label
+            assert list(h.brackets().items()) == list(g.brackets().items())
+            assert serialize(expr_of(h)) == serialize(expr_of(g)), label
+            assert h.c == g.c, label
+
+
+def test_unchecked_defers_jacobi_until_first_use():
+    # [e1, e2] = e3, [e1, e3] = e1: the cyclic sum on (e1, e2, e3) is -e3
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = 1, -1
+    c[0][2][0], c[2][0][0] = 1, -1
+    with pytest.raises(JacobiError, match=r"\(e1, e2, e3\)"):
+        LieAlgebra(c)
+    g = LieAlgebra.unchecked(c)
+    assert g.bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+    with pytest.raises(JacobiError):
+        g.derived_series()
+    with pytest.raises(JacobiError):
+        g.validate()
 
 
 def _uncached_series(g, lower):
