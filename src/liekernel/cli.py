@@ -256,12 +256,7 @@ def cmd_g2_verify(args):
                          reconstruct_star_phi, star_phi0)
 
     p0, s0 = phi0(), star_phi0()
-    result = {
-        "star_phi0_matches_hodge": hodge_star(p0) == s0,
-        "metric_is_identity": False,
-        "torus_frame_phi_reconstruction": False,
-        "torus_frame_star_phi_reconstruction": False,
-    }
+    result = {"star_phi0_matches_hodge": hodge_star(p0) == s0}
     metric = metric_from_phi(p0)
     result["metric_is_identity"] = metric.exact and metric.gram == identity(7)
     frame = g2t2_decompose(p0, s0, (1, 0, 0, 0, 0, 0, 0),
@@ -364,90 +359,58 @@ def cmd_corpus(args):
     return code if suite["ok"] else 1
 
 
+_F_HELP = "2x2 curvature coefficients a,b,c,d"
+
+# name, handler, help, whether it takes an algebra, and its extra
+# (flag, options) pairs, in the order `liekernel --help` lists them
+COMMANDS = (
+    ("parse", cmd_parse, "parse and canonicalise a tuple", True, ()),
+    ("betti", cmd_betti, "Betti numbers of the CE complex", True, ()),
+    ("check23", cmd_check23, "test b2 = b3 = 0", True, ()),
+    ("kernel", cmd_kernel, "Lie kernel dimension and d_P flags", True, ()),
+    ("structure", cmd_structure, "series, predicates and cohomology", True, ()),
+    ("derivations", cmd_derivations, "derivation algebra facts", True, ()),
+    ("tables", cmd_tables, "verify the classification-table grids", False, ()),
+    ("extend", cmd_extend, "graded extension of a nilpotent algebra", True, (
+        ("--grading", dict(required=True, metavar="w1,w2,...", type=_weights_arg,
+                           help="layer of each basis element")),)),
+    ("mmmap", cmd_mmmap, "invert d_P on a closed three-form", True, (
+        ("--psi", dict(required=True, help="three-form literal")),)),
+    ("orbit", cmd_orbit, "stabiliser/kernel orbit certificate", True, (
+        ("--beta", dict(required=True, help="two-form literal")),)),
+    ("g2-verify", cmd_g2_verify, "pointwise G2 identity suite", False, (
+        ("--F", dict(type=_mat2_arg, help=_F_HELP)),)),
+    ("g2-flow", cmd_g2_flow, "integrate the symplectic-triple flow", False, (
+        ("--F", dict(required=True, type=_mat2_arg, help=_F_HELP)),
+        ("--t-end", dict(type=_finite_float_arg, default=None, dest="t_end")),
+        ("--step", dict(type=_finite_float_arg, default=1e-3)),
+        ("--compare-closed-form", dict(action="store_true")),
+        ("--csv", dict(help="stream the t,q11,q12,q22,h trajectory")))),
+    ("corpus", cmd_corpus, "run the fixture property suite", False, (
+        ("--fixture", dict(help="alternative .lie fixture file")),
+        ("--triples", dict(
+            type=_positive_int_arg, default=25,
+            help="random triples per algebra for the pairing identity")))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="liekernel",
         description="Exact Lie-algebra cohomology, Lie kernels, and the "
                     "G2 symplectic-triple flow.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, algebra=True):
+    for name, func, help_text, algebra, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         if algebra:
             p.add_argument("algebra", help="structure tuple, e.g. \"(0,21,l.31)\"")
             p.add_argument("--bind", action="append", metavar="name=p/q",
                            help="bind a parameter (repeatable)")
         p.add_argument("--json", action="store_true",
                        help="emit the versioned JSON report")
-
-    p = sub.add_parser("parse", help="parse and canonicalise a tuple")
-    common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("betti", help="Betti numbers of the CE complex")
-    common(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("check23", help="test b2 = b3 = 0")
-    common(p)
-    p.set_defaults(func=cmd_check23)
-
-    p = sub.add_parser("kernel", help="Lie kernel dimension and d_P flags")
-    common(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("structure", help="series, predicates and cohomology")
-    common(p)
-    p.set_defaults(func=cmd_structure)
-
-    p = sub.add_parser("derivations", help="derivation algebra facts")
-    common(p)
-    p.set_defaults(func=cmd_derivations)
-
-    p = sub.add_parser("tables", help="verify the classification-table grids")
-    common(p, algebra=False)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("extend", help="graded extension of a nilpotent algebra")
-    common(p)
-    p.add_argument("--grading", required=True, metavar="w1,w2,...",
-                   type=_weights_arg,
-                   help="layer of each basis element")
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("mmmap", help="invert d_P on a closed three-form")
-    common(p)
-    p.add_argument("--psi", required=True, help="three-form literal")
-    p.set_defaults(func=cmd_mmmap)
-
-    p = sub.add_parser("orbit", help="stabiliser/kernel orbit certificate")
-    common(p)
-    p.add_argument("--beta", required=True, help="two-form literal")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("g2-verify", help="pointwise G2 identity suite")
-    common(p, algebra=False)
-    p.add_argument("--F", type=_mat2_arg,
-                   help="2x2 curvature coefficients a,b,c,d")
-    p.set_defaults(func=cmd_g2_verify)
-
-    p = sub.add_parser("g2-flow", help="integrate the symplectic-triple flow")
-    common(p, algebra=False)
-    p.add_argument("--F", required=True, type=_mat2_arg,
-                   help="2x2 curvature coefficients a,b,c,d")
-    p.add_argument("--t-end", type=_finite_float_arg, default=None,
-                   dest="t_end")
-    p.add_argument("--step", type=_finite_float_arg, default=1e-3)
-    p.add_argument("--compare-closed-form", action="store_true")
-    p.add_argument("--csv", help="stream the t,q11,q12,q22,h trajectory")
-    p.set_defaults(func=cmd_g2_flow)
-
-    p = sub.add_parser("corpus", help="run the fixture property suite")
-    common(p, algebra=False)
-    p.add_argument("--fixture", help="alternative .lie fixture file")
-    p.add_argument("--triples", type=_positive_int_arg, default=25,
-                   help="random triples per algebra for the pairing identity")
-    p.set_defaults(func=cmd_corpus)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return top
 
 

@@ -24,6 +24,7 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
+from .exterior import MAX_DIM
 from .linalg import Subspace, clear_denominators, identity, nullspace, vec
 
 Vector = tuple[Fraction, ...]
@@ -31,8 +32,8 @@ _ZERO = Fraction(0)
 
 
 def _check_dim(n: int):
-    if n > 16:
-        raise LieKernelError(f"dimension {n} above the supported 16")
+    if n > MAX_DIM:
+        raise LieKernelError(f"dimension {n} above the supported {MAX_DIM}")
 
 
 class LieAlgebra:
@@ -308,24 +309,31 @@ class LieAlgebra:
     def is_characteristically_nilpotent(self) -> bool:
         """All derivations nilpotent.
 
-        Der(g) must be a nilpotent Lie algebra of nilpotent matrices; in a
-        nilpotent linear Lie algebra the nilpotent elements form a subspace,
-        so testing the basis suffices.  Der(R) = gl(1) is abelian, hence
-        nilpotent, but its identity is not a nilpotent matrix.
+        By Leger and Togo, exactly when the chain g, Der(g) g, Der(g)^2 g,
+        ... reaches 0, each term spanned by D v for D in Der(g) and v in the
+        term before.  Each term lies inside the one before, so a term that
+        keeps the dimension repeats for ever.  Der(R) = gl(1) holds the
+        identity, so the chain of R stays at R.
         """
         if not self.is_nilpotent():
             raise LieKernelError("characteristic nilpotency needs a nilpotent input")
-        # each basis matrix as its primitive integer row: a nonzero
-        # multiple of a matrix is nilpotent exactly when it is, and
-        # rescaling a basis keeps its span
-        n = self.n
-        matrices = [[tuple(r.get(a * n + b, 0) for b in range(n))
-                     for a in range(n)]
-                    for r in self.derivation_algebra().rows]
-        if not all(is_nilpotent_matrix(m) for m in matrices):
-            return False
-        der = matrix_lie_algebra(matrices, name="Der")
-        return der is None or der.is_nilpotent()
+        n, ders = self.n, self.derivation_algebra().rows
+        space = self.full_space()
+        while space.dim:
+            image = []
+            for d in ders:  # D[a][b] at a*n + b, an integer multiple of D
+                for v in space.rows:
+                    dv: dict[int, int] = {}
+                    for ab, x in d.items():
+                        a, b = divmod(ab, n)
+                        if b in v:
+                            dv[a] = dv.get(a, 0) + x * v[b]
+                    image.append(dv)
+            nxt = Subspace(n, image)
+            if nxt.dim == space.dim:
+                return False
+            space = nxt
+        return True
 
     def __repr__(self):
         label = self.name or f"dim {self.n}"
@@ -371,16 +379,3 @@ def matrix_lie_algebra(matrices, name: str | None = None) -> LieAlgebra | None:
         brackets[i, j] = {c - n * n + 1: -q for c, q in w.items()}
     return LieAlgebra.from_brackets(m, brackets, name=name)
 
-
-def is_nilpotent_matrix(m) -> bool:
-    n = len(m)
-    power = m
-    for _ in range(n):
-        if all(all(x == 0 for x in row) for row in power):
-            return True
-        power = [
-            [sum(power[i][k] * m[k][j] for k in range(n))
-             for j in range(n)]
-            for i in range(n)
-        ]
-    return all(all(x == 0 for x in row) for row in power)

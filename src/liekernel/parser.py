@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BindingError, LieKernelError, ParseError
-from .exterior import KForm, bits_of
+from .exterior import MAX_DIM, KForm, bits_of
 from .liealg import LieAlgebra
 
 _NAME = r"[a-zA-Z][a-zA-Z0-9_]*"
@@ -164,8 +164,8 @@ def parse(text: str) -> AlgebraExpr:
     if text[pos + 1:].strip():
         raise ParseError("trailing input after tuple", pos + 1)
     n = len(raw_slots)
-    if n > 16:
-        raise ParseError("dimension above 16 is unsupported", 0)
+    if n > MAX_DIM:
+        raise ParseError(f"dimension above {MAX_DIM} is unsupported", 0)
     for terms in raw_slots:
         for t in terms:
             i, j = t.pair

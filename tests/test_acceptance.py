@@ -26,9 +26,10 @@ from liekernel.families import (FAMILY_NAMES, SU3_BASIS_NAMES, FamilySpec,
                                 make_family, make_unimodular_5dim,
                                 seven_dim_characteristically_nilpotent,
                                 su2, su3, trivial23_consequences, u2)
-from liekernel.liealg import is_nilpotent_matrix
 from liekernel.linalg import Subspace
 from liekernel.corpus import adjoint_identity_holds
+
+from dense_oracle import is_nilpotent_matrix
 
 
 @contextmanager

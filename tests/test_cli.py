@@ -65,12 +65,33 @@ ALGEBRA_COMMANDS = {
 }
 
 
+def _subcommands() -> dict:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_algebra_commands_cover_the_parser():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    takes_algebra = {name for name, p in sub.choices.items()
+    takes_algebra = {name for name, p in _subcommands().items()
                      if any(a.dest == "algebra" for a in p._actions)}
     assert takes_algebra == set(ALGEBRA_COMMANDS)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_subcommand_has_help_and_a_readme_example(capsys):
+    names = set(_subcommands())
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    examples = {line.split()[1] for line in lines if line.strip()}
+    assert len(names) == 13
+    for name in names:
+        with pytest.raises(SystemExit) as exit_:
+            main([name, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: liekernel {name}")
+    assert examples == names
 
 
 @pytest.mark.parametrize("algebra", SMALL_ALGEBRAS)

@@ -9,9 +9,10 @@ from liekernel.errors import (DimensionMismatch, JacobiError, LieKernelError,
 from liekernel.families import (TABLE_GRIDS, FamilySpec, load_corpus,
                                 make_family,
                                 seven_dim_characteristically_nilpotent)
-from liekernel.liealg import (is_nilpotent_matrix, matrix_commutator,
-                              matrix_lie_algebra)
+from liekernel.liealg import matrix_commutator, matrix_lie_algebra
 from liekernel.parser import expr_of, serialize
+
+from dense_oracle import is_nilpotent_matrix
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,10 @@ def test_characteristically_nilpotent():
     assert parse_algebra("(0,0,0)").is_characteristically_nilpotent() is False
     # Der(R) = gl(1) is abelian, hence nilpotent, but the identity is not
     assert parse_algebra("(0)").is_characteristically_nilpotent() is False
+    # n = 16, each with a derivation that is not nilpotent: the identity on
+    # R^16, and diag(1, 1, 2) plus the identity on h3+R^13
+    for text in ("(0" + ",0" * 15 + ")", "(0,0,12" + ",0" * 13 + ")"):
+        assert parse_algebra(text).is_characteristically_nilpotent() is False
     with pytest.raises(LieKernelError):
         parse_algebra("(0,21)").is_characteristically_nilpotent()
     for alpha in (1, 2):
