@@ -26,11 +26,11 @@ import sys
 from fractions import Fraction
 
 from .errors import LieKernelError, ParseError
-from .exterior import KForm, hodge_star
+from .exterior import KForm, KVector, hodge_star
 from .liealg import LieAlgebra
 from .linalg import identity
-from .parser import (expr_of, parse, parse_binding, parse_form, parse_rational,
-                     serialize, serialize_form, instantiate)
+from .parser import (AlgebraExpr, expr_of, parse, parse_binding, parse_form,
+                     parse_rational, serialize, serialize_form, instantiate)
 
 SCHEMA = "liekernel-report/1"
 
@@ -38,8 +38,10 @@ SCHEMA = "liekernel-report/1"
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, KForm):
+    if isinstance(x, (KForm, KVector)):
         return serialize_form(x)
+    if isinstance(x, AlgebraExpr):
+        return serialize(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -50,22 +52,28 @@ def _jsonable(x):
 
 
 def _emit(args, result: dict, mode: str = "exact", tol: float | None = None) -> int:
+    """Print a report; a result too long to write fails before any output."""
     payload = {
         "schema": SCHEMA,
         "command": args.command,
         "input_sha256": hashlib.sha256(
             " ".join(args._raw_argv).encode()).hexdigest(),
         "mode": mode,
-        "result": _jsonable(result),
     }
     if tol is not None:
         payload["tol"] = tol
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         allow_nan=False))
-    else:
-        for key, value in payload["result"].items():
-            print(f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}")
+    try:
+        payload["result"] = _jsonable(result)
+        if args.json:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+        else:
+            text = "".join(
+                f"{key}: {json.dumps(value, sort_keys=True, allow_nan=False)}\n"
+                for key, value in payload["result"].items())
+    except ValueError as err:  # an int past `sys.get_int_max_str_digits`
+        raise LieKernelError(f"the result cannot be written: {err}") from None
+    print(text, end="")
     return 0
 
 
@@ -125,7 +133,7 @@ def cmd_parse(args):
     expr = parse(args.algebra)
     return _emit(args, {
         "n": expr.n,
-        "canonical": serialize(expr),
+        "canonical": expr,
         "parameters": sorted(expr.parameters),
     })
 
@@ -157,14 +165,13 @@ def cmd_kernel(args):
     kernel = lie_kernel(g)
     formula = kernel.complex.betti_number(1) + g.n * (g.n - 3) // 2
     props = dP_properties(g)
-    basis = [serialize_form(b) for b in kernel.basis()]
     return _emit(args, {
         "dim": kernel.dim,
         "formula_value": formula,
         "matches_formula": kernel.dim == formula,
         "dP_injective": props.injective,
         "dP_surjective_onto_Z3": props.surjective_onto_Z3,
-        "basis_bivectors": basis,
+        "basis_bivectors": kernel.basis(),
     })
 
 
@@ -216,7 +223,7 @@ def cmd_extend(args):
     g = _algebra(args)
     extension = graded_extension(GradedNilpotent(g, args.grading))
     return _emit(args, {
-        "extension": serialize(expr_of(extension)),
+        "extension": expr_of(extension),
         "is_23_trivial": is_23_trivial(extension),
         "dim": extension.n,
     })
@@ -229,8 +236,8 @@ def cmd_mmmap(args):
     psi = parse_form(args.psi, g.n, 3)
     beta = multimoment_value(g, psi)
     return _emit(args, {
-        "beta": serialize_form(beta.rep),
-        "dP_beta": serialize_form(dP(g, beta)),
+        "beta": beta.rep,
+        "dP_beta": dP(g, beta),
         "round_trip_ok": dP(g, beta) == psi,
     })
 
@@ -246,7 +253,7 @@ def cmd_orbit(args):
         "orbit_dim": check.orbit_dim,
         "stabilizer_dim": check.stabilizer_dim,
         "kernel_dim": check.kernel_dim,
-        "dP_beta": serialize_form(dP(g, beta)),
+        "dP_beta": dP(g, beta),
     })
 
 

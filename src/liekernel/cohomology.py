@@ -12,10 +12,12 @@ built by `exterior.derivation_rows` from the integer images D de^m, rows
 and columns in the lex basis of `exterior.lex`.  Ranks, pivots, cocycles
 and coboundaries are the same at any scale, so they read these rows as they
 are; the readers of the matrix itself, `ce_differential` and
-`LieKernel.dP_rows`, divide by D.  `CEComplex.d` applies these rows to a
-form's int numerators and divides once per entry.  Ranks are taken by exact
-sparse integer elimination (`linalg.rank`), and the rank of d_k drops the
-rows at the echelon pivots of d_{k-1}, which d o d = 0 makes dependent.
+`LieKernel.dP_rows`, divide by D.  `CEComplex.d` combines these rows
+(`linalg.combine`) with a form's int numerators and divides once per entry,
+and `verify_d_squared` combines the rows of d_{k+1} by each row of d_k.
+Ranks are taken by exact sparse integer elimination (`linalg.rank`), and
+the rank of d_k drops the rows at the echelon pivots of d_{k-1}, which
+d o d = 0 makes dependent.
 The pivot columns of that echelon span the column space of d_k, so Z^k is
 the integer null space of those columns alone, a `Subspace` of integer
 rows; B^k is never solved, only spanned by the rows of d_{k-1}.
@@ -30,8 +32,9 @@ columns, where the plain path keeps all C(n, k+1) columns.  `d_rank`,
 duality checks that read them (the corpus, the tests) assume nothing.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
 `exterior.extend_as_derivation`; `invariant_cohomology_dims` makes one
-`derivation_rows` call per degree over the basis forms that Z^i uses, and
-ranks the rows of d_{i-1} with L_a Z^i, all on the ideal's complex.
+`derivation_rows` call per degree over the basis forms that Z^i uses,
+combines those rows into L_a Z^i, and ranks them with the rows of d_{i-1},
+all on the ideal's complex.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from math import comb, lcm
 from .errors import DimensionMismatch, SubspaceError
 from .exterior import KForm, derivation_rows, extend_as_derivation, lex
 from .liealg import LieAlgebra
-from .linalg import (Subspace, clear_denominators, identity, nullspace, rank,
-                     vec)
+from .linalg import (Subspace, clear_denominators, combine, identity, nullspace,
+                     rank, vec)
 
 
 def _check_degree(k: int):
@@ -82,10 +85,7 @@ class CEComplex:
         k = form.k
         scale, nums = clear_denominators(form.coeffs)
         pos, rows = lex(self.n, k)[2], self.d_rows(k)
-        acc: dict[int, int] = {}
-        for b, v in nums.items():
-            for j, w in rows[pos[b]].items():
-                acc[j] = acc.get(j, 0) + v * w
+        acc = combine((v, rows[pos[b]]) for b, v in nums.items())
         out, scale = lex(self.n, k + 1)[1], scale * self.scale
         return KForm(self.n, k + 1, {out[j]: Fraction(v, scale)
                                      for j, v in acc.items() if v})
@@ -190,11 +190,7 @@ class CEComplex:
         for k in range(self.n - 1):
             nxt = self.d_rows(k + 1)
             for row in self.d_rows(k):
-                acc: dict[int, int] = {}
-                for j, v in row.items():
-                    for t, w in nxt[j].items():
-                        acc[t] = acc.get(t, 0) + v * w
-                if any(acc.values()):
+                if any(combine((v, nxt[j]) for j, v in row.items()).values()):
                     return False
         return True
 
@@ -221,9 +217,6 @@ class CohomologyReport:
     z_dims: tuple[int, ...]
     b_dims: tuple[int, ...]
     betti: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.betti[k]
 
 
 def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
@@ -297,13 +290,9 @@ def invariant_cohomology_dims(g: LieAlgebra, ideal: Subspace, a) -> list[int]:
         used = sorted(set().union(*zc.rows))
         image_of = dict(zip(used, derivation_rows(
             images, [(ixs[c], bits[c]) for c in used])))
-        moved = []
-        for z in zc.rows:
-            acc: dict[int, int] = {}
-            for c, v in z.items():
-                for b, w in image_of[c].items():
-                    acc[b] = acc.get(b, 0) + v * w
-            moved.append({pos[b]: w for b, w in acc.items() if w})
+        moved = [{pos[b]: w for b, w in combine(
+                      (v, image_of[c]) for c, v in z.items()).items() if w}
+                 for z in zc.rows]
         # the kernel of L_a on Z^i/B^i has dim Z^i - dim(B^i + L_a Z^i),
         # B^i spanned by the rows of d_{i-1}
         boundary = cx.d_rows(i - 1) if i else []

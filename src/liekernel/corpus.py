@@ -28,7 +28,9 @@ from .exterior import KForm, KVector, lex
 from .families import CorpusEntry, load_corpus, trivial23_consequences
 from .kernelmap import dP, lie_kernel, scaled_ad
 from .liealg import LieAlgebra
-from .linalg import Subspace, identity
+from .linalg import Subspace, combine, identity
+
+_DP_ROUNDS = 5  # random two-forms per algebra for the d_P checks
 
 
 def _random_form(rng, n: int, k: int) -> KForm:
@@ -43,11 +45,7 @@ def _integral_triple(rng, n: int, basis: list[dict]):
     alpha = {b: rng.randint(-4, 4) * (6 // rng.randint(1, 3))
              for b in lex(n, 2)[1]}
     z = tuple(rng.randint(-3, 3) for _ in range(n))
-    p: dict[int, int] = {}
-    for row in basis:
-        r = rng.randint(-2, 2)
-        for bits, c in row.items():
-            p[bits] = p.get(bits, 0) + r * c
+    p = combine(zip([rng.randint(-2, 2) for _ in basis], basis))
     return KForm(n, 2, alpha), z, KVector(n, 2, p)
 
 
@@ -92,11 +90,10 @@ def adjoint_identity_holds(g: LieAlgebra, rng, triples: int) -> bool:
     return True
 
 
-def dp_closed_and_representative_free(g: LieAlgebra, rng,
-                                      rounds: int = 5) -> bool:
+def dp_closed_and_representative_free(g: LieAlgebra, rng) -> bool:
     kernel = lie_kernel(g)
     cx = kernel.complex
-    for _ in range(rounds):
+    for _ in range(_DP_ROUNDS):
         alpha = _random_form(rng, g.n, 2)
         image = dP(g, alpha)
         if not cx.d(image).is_zero():

@@ -174,9 +174,6 @@ class _Element:
     def __rmul__(self, scalar):
         return self._like({b: scalar * c for b, c in self.coeffs.items()})
 
-    def __xor__(self, other):
-        return wedge(self, other)
-
     def __eq__(self, other):
         if type(self) is not type(other) or self.n != other.n:
             return NotImplemented
@@ -200,12 +197,6 @@ class _Element:
     def from_vector(cls, n: int, k: int, coords):
         return cls(n, k, {b: c for b, c in zip(lex(n, k)[1], coords,
                                                 strict=True) if c})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"{type(self).__name__}({self.n}, {self.k}, 0)"
-        body = " + ".join(f"{c}*e{''.join(map(str, ixs))}" for ixs, c in self.terms())
-        return f"{type(self).__name__}({body})"
 
 
 class KForm(_Element):
@@ -311,12 +302,7 @@ def extend_as_derivation(images, coeffs: dict) -> dict:
         used |= b
     # no masks for the images that no row reads
     images = [im if used >> m & 1 else {} for m, im in enumerate(images)]
-    acc: dict[int, object] = {}
-    for (_, bits), row in zip(basis, derivation_rows(images, basis)):
-        c = coeffs[bits]
-        for key, v in row.items():
-            acc[key] = acc.get(key, 0) + c * v
-    return acc
+    return linalg.combine(zip(coeffs.values(), derivation_rows(images, basis)))
 
 
 def interior(v: KVector, a: KForm) -> KForm:

@@ -80,9 +80,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -106,9 +103,6 @@ class Poly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def deriv(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -117,13 +111,6 @@ class Poly:
         for c in reversed(self.coeffs):
             out = out * t + c
         return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        body = " + ".join(f"{c}*t^{i}" if i else str(c)
-                          for i, c in enumerate(self.coeffs) if c)
-        return f"Poly({body})"
 
 
 # -- the model three-form and its star ----------------------------------------

@@ -13,9 +13,9 @@ is `CEComplex.d`, which applies the integer rows; a multi-moment value is
 read off one reduction of (psi, 0) against the rows (d_P e_c, e_c).
 
 ad on multivectors is one integer seam, `scaled_ad`: ad_z p is the sum of
-z_i times the rows of D ad_{e_i}, each row the image of one basis
-multivector under the columns of D ad_{e_i} (the scaled brackets D [e_i, e_j],
-which `scaled_ad_columns(e_i)` also returns) extended by the Leibniz rule
+z_i p_B times the rows of D ad_{e_i} e_B (`linalg.combine`), each row the
+image of one basis multivector under the columns of D ad_{e_i} (the scaled
+brackets D [e_i, e_j]) extended by the Leibniz rule
 (`exterior.derivation_rows`).  The rows are built on first
 use, only for the basis multivectors asked for, and cached on the algebra.
 `ad_multivector` divides once; the adjoint identity
@@ -33,7 +33,8 @@ from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
 from .exterior import KForm, KVector, derivation_rows, interior, lex, pairing
 from .liealg import LieAlgebra
-from .linalg import Subspace, clear_denominators, identity, nullspace, rank
+from .linalg import (Subspace, clear_denominators, combine, identity,
+                     nullspace, rank)
 
 
 class LieKernel:
@@ -138,7 +139,7 @@ def _unit_ad_rows(g: LieAlgebra, units, coeffs: dict) -> list[dict]:
         if coeffs.keys() <= rows.keys():
             continue
         missing = [b for b in coeffs if b not in rows]
-        # column j of D ad_{e_i}, scaled_ad_columns(e_i), is D [e_i, e_j]
+        # column j of D ad_{e_i} is D [e_i, e_j]
         images = [{1 << m: v for m, v in col.items()}
                   for col in g.scaled_brackets()[1][i]]
         ixs, _, pos = lex(g.n, missing[0].bit_count())
@@ -160,14 +161,9 @@ def scaled_ad(g: LieAlgebra, z, coeffs: dict) -> tuple[int, dict[int, int]]:
     lz, zs = clear_denominators({i: q for i, q in enumerate(z) if q})
     lp, nums = clear_denominators(coeffs)
     rows = _unit_ad_rows(g, zs, nums)
-    acc: dict[int, int] = {}
-    for i, zi in zs.items():
-        unit = rows[i]
-        for b, v in nums.items():
-            c = zi * v
-            for key, w in unit[b].items():
-                acc[key] = acc.get(key, 0) + c * w
-    return g.scaled_brackets()[0] * lz * lp, acc
+    return g.scaled_brackets()[0] * lz * lp, combine(
+        (zi * v, row) for i, zi in zs.items()
+        for b, v in nums.items() if (row := rows[i][b]))
 
 
 def ad_multivector(g: LieAlgebra, z, p: KVector) -> KVector:

@@ -10,11 +10,12 @@ The dense c[i][j][k] = coefficient of e_k in [e_i, e_j] is a read-only
 view, built from sc on first read, for the callers that index it.
 `brackets` hands the nonzeros back in the form `from_brackets` takes.
 `scaled_brackets` keeps them once more, times their common denominator D,
-as integers, for the Jacobi test, the integer CE rows and the integer
-columns of ad.  The derived and lower central series are computed once per
-algebra and cached, as its complex and Lie kernel are; each call hands out
-a fresh list, and `derived_algebra` is the second term of the derived
-series.
+as integers, for the Jacobi test, the integer CE rows and the integer ad
+rows of `kernelmap`.  The Jacobi sums, `bracket` and `ad` are sums of
+these sparse rows, by `linalg.combine`.  The derived and lower central
+series and Der(g) are computed once per algebra, after validation, and
+cached, as its complex and Lie kernel are; each series call hands out a
+fresh list, and `derived_algebra` is the second term of the derived series.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
 from .exterior import MAX_DIM
-from .linalg import Subspace, clear_denominators, identity, nullspace, vec
+from .linalg import Subspace, combine, identity, nullspace, vec
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -78,10 +79,10 @@ class LieAlgebra:
         _check_dim(n)
         self.n, self.name, self._validated = n, name, False
         # caches filled on first use by the c property, scaled_brackets,
-        # the two series (after validation, so an algebra that fails Jacobi
-        # caches none), cohomology.complex_of, kernelmap.lie_kernel and the
-        # per-unit ad rows of kernelmap.scaled_ad
-        self._c = self._scaled = self._derived = self._lower = None
+        # the two series and Der(g) (after validation, so an algebra that
+        # fails Jacobi caches none), cohomology.complex_of,
+        # kernelmap.lie_kernel and the per-unit ad rows of kernelmap.scaled_ad
+        self._c = self._scaled = self._derived = self._lower = self._der = None
         self._complex = self._kernel = self._ad_rows = None
         sc = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), comps in brackets.items():
@@ -122,11 +123,9 @@ class LieAlgebra:
         # it holds for c, and the cyclic sums run in integers over nonzeros
         br = self.scaled_brackets()[1]
         for i, j, k in combinations(range(self.n), 3):
-            total: dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, q in br[a][b].items():
-                    for p, s in br[m][c].items():
-                        total[p] = total.get(p, 0) + q * s
+            total = combine((q, row)
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                            for m, q in br[a][b].items() if (row := br[m][c]))
             if any(total.values()):
                 raise JacobiError(
                     f"Jacobi fails on (e{i+1}, e{j+1}, e{k+1})"
@@ -150,40 +149,22 @@ class LieAlgebra:
         x, y = vec(x), vec(y)
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatch("vectors outside the algebra")
-        out = [_ZERO] * self.n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self.sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, q in plane[j].items():
-                    out[k] += f * q
+        sc, out = self.sc, [_ZERO] * self.n
+        for k, v in combine((xi * yj, row) for i, xi in enumerate(x) if xi
+                            for j, yj in enumerate(y)
+                            if yj and (row := sc[i][j])).items():
+            out[k] = v
         return tuple(out)
 
-    def scaled_ad_columns(self, x) -> tuple[int, list[dict[int, int]]]:
-        """(E, cols) with cols[j] = {k: E times the coefficient of e_k in
-        [x, e_j]} in integers, E = D L for x with int or Fraction
-        coordinates of common denominator L."""
-        x = tuple(x)
+    def ad(self, x) -> list[Vector]:
+        """Matrix of ad_x, rows indexed by output component: column j is
+        [x, e_j], the sum of x_i [e_i, e_j]."""
+        x = vec(x)
         if len(x) != self.n:
             raise DimensionMismatch("vector outside the algebra")
-        d, br = self.scaled_brackets()
-        l, x = clear_denominators(dict(enumerate(x)))
-        cols: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for i, xi in x.items():
-            for col, comps in zip(cols, br[i]):
-                for k, q in comps.items():
-                    col[k] = col.get(k, 0) + xi * q
-        return d * l, cols
-
-    def ad(self, x) -> list[Vector]:
-        """Matrix of ad_x, rows indexed by output component."""
-        e, cols = self.scaled_ad_columns(vec(x))
-        return [tuple(Fraction(col.get(k, 0), e) for col in cols)
-                for k in range(self.n)]
+        cols = [combine((xi, self.sc[i][j]) for i, xi in enumerate(x) if xi)
+                for j in range(self.n)]
+        return [tuple(col.get(k, _ZERO) for col in cols) for k in range(self.n)]
 
     # -- ideals and series ---------------------------------------------------
 
@@ -274,10 +255,13 @@ class LieAlgebra:
     # -- derivations -------------------------------------------------------------
 
     def derivation_algebra(self) -> Subspace:
-        """Solution space of D[x,y] = [Dx,y] + [x,Dy] inside n^2 matrices.
+        """Solution space of D[x,y] = [Dx,y] + [x,Dy] inside n^2 matrices;
+        solved once per algebra after validation.
 
         Rows of the returned subspace are matrices flattened row-major.
         """
+        if self._der is not None:
+            return self._der
         self.validate()
         n, br = self.n, self.scaled_brackets()[1]
         rows = []
@@ -296,7 +280,8 @@ class LieAlgebra:
                 for b, q in br[i][j].items():
                     eq[k * n + b] = eq.get(k * n + b, 0) - q
             rows.extend(eqs)
-        return Subspace(n * n, nullspace(rows, n * n))
+        self._der = Subspace(n * n, nullspace(rows, n * n))
+        return self._der
 
     def derivation_matrices(self) -> list[list[Vector]]:
         n, der = self.n, self.derivation_algebra()

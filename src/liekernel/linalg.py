@@ -47,6 +47,19 @@ def identity(n: int) -> Matrix:
     return [unit(n, i) for i in range(n)]
 
 
+def combine(terms) -> dict:
+    """The sum of c row over (c, row) pairs, each row a sparse dict
+    {key: value} over any ring (int, Fraction, polynomials, floats); a value
+    is zero where terms cancel.  A pair costs about what a short row does,
+    so callers whose rows are often empty leave those out."""
+    acc: dict = {}
+    get = acc.get
+    for c, row in terms:
+        for k, v in row.items():
+            acc[k] = get(k, 0) + c * v
+    return acc
+
+
 def clear_denominators(entries: dict) -> tuple[int, dict]:
     """(L, {key: L q}) for int or Fraction values q, L the lcm of their
     denominators, so the new values are ints."""
@@ -325,6 +338,3 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient,
                      tuple(frozenset(r.items()) for r in self.rows)))
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of R^{self.ambient})"

@@ -69,12 +69,22 @@ class AlgebraExpr:
         return {t.param for slot in self.slots for t in slot if t.param}
 
 
+def _numeral(digits: str, pos: int) -> int:
+    """A run of decimal digits as an int; a ParseError at pos when it is
+    longer than the interpreter converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("numeral has too many digits", pos) from None
+
+
 def _rational(m: re.Match) -> Fraction:
     """The rational rule on a match's sign, num and den groups (1 if absent)."""
-    if m["den"] is not None and int(m["den"]) == 0:
+    num, den = (1 if m[g] is None else _numeral(m[g], m.start(g))
+                for g in ("num", "den"))
+    if den == 0:
         raise ParseError("zero denominator", m.start("den"))
-    q = Fraction(int(m["num"] or 1), int(m["den"] or 1))
-    return -q if m["sign"] == "-" else q
+    return Fraction(-num if m["sign"] == "-" else num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -89,10 +99,13 @@ def _indices(m: re.Match) -> tuple[int, ...]:
     """A term's indices: one per digit of the run, or the bracketed list."""
     if m["digits"] is not None:
         return tuple(map(int, m["digits"]))
-    parts = [p.strip() for p in m["list"].split(",")]
-    if not all(p.isdecimal() for p in parts):
-        raise ParseError("expected index", m.start("list"))
-    return tuple(map(int, parts))
+    ixs, pos = [], m.start("list")
+    for part in m["list"].split(","):
+        if not part.strip().isdecimal():
+            raise ParseError("expected index", m.start("list"))
+        ixs.append(_numeral(part, pos + len(part) - len(part.lstrip())))
+        pos += len(part) + 1
+    return tuple(ixs)
 
 
 def _tuple_term(m: re.Match) -> Term:

@@ -161,6 +161,22 @@ def test_derivations_and_char_nilpotent(capsys):
         assert payload["result"]["characteristically_nilpotent"] is False
 
 
+def test_derivations_solve_der_g_once(capsys, monkeypatch):
+    # `dim` and the characteristic nilpotency chain read one cached solve
+    from liekernel import liealg
+
+    solves = []
+    real = liealg.nullspace
+    monkeypatch.setattr(liealg, "nullspace",
+                        lambda *a: solves.append(a) or real(*a))
+    code, payload = run_json(
+        capsys, "derivations",
+        "(0,0,12,13,23,14+25+a.23,16+25+35+a.24)", "--bind", "a=1")
+    assert code == 0
+    assert payload["result"]["characteristically_nilpotent"] is True
+    assert len(solves) == 1
+
+
 def test_extend(capsys):
     code, payload = run_json(capsys, "extend", "(0,0,12)",
                              "--grading", "1,1,2")
@@ -265,6 +281,37 @@ def test_zero_denominator_is_parse_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+# numerals longer than the interpreter converts to or from text (4 300
+# digits by default), on the way in and, as a sum or product of legal
+# inputs, out
+LONG, WIDE, EDGE = "7" * 5000, "3" * 3000, "9" * 4300
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["parse", f"(0,0,{LONG}.12)"], "ParseError"),
+    (["parse", f"(0,0,[{LONG},1])"], "ParseError"),
+    (["mmmap", "(0,21,1/2.31)", "--psi", f"{LONG}.123"], "ParseError"),
+    (["check23", "(0,21,l.31)", "--bind", f"l={LONG}"], "BindingError"),
+    (["corpus", "--fixture", f"(0,21,l.31) | l=1/{LONG}\n"], "BindingError"),
+    (["mmmap", f"(0,21,1/{WIDE}.31)", "--psi", f"{WIDE}.123", "--json"],
+     "LieKernelError"),
+    (["mmmap", f"(0,21,1/{WIDE}.31)", "--psi", f"{WIDE}.123"],
+     "LieKernelError"),
+    (["parse", f"(0,0,{EDGE}.12+{EDGE}.12)"], "LieKernelError"),
+], ids=["tuple-coefficient", "bracketed-index", "psi", "bind", "lie-binding",
+        "beta-json", "beta-plain", "canonical-sum"])
+def test_numerals_past_the_digit_limit_are_domain_errors(capsys, tmp_path,
+                                                         argv, error):
+    if argv[0] == "corpus":
+        fixture = tmp_path / "long.lie"
+        fixture.write_text(argv[2])
+        argv = argv[:2] + [str(fixture)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["type"] == error
 
 
 @pytest.mark.parametrize("content", [

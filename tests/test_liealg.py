@@ -184,6 +184,18 @@ def test_series_of_an_algebra_failing_jacobi_raise_and_cache_nothing():
         assert g._derived is None and g._lower is None
 
 
+def test_der_g_is_solved_once_and_never_for_an_algebra_failing_jacobi(h3):
+    assert h3.derivation_algebra() is h3.derivation_algebra()
+    # J(e1, e2, e3) = [e1, e3] = e2
+    g = LieAlgebra.from_brackets(3, {(1, 2): {1: 1}, (1, 3): {2: 1}},
+                                 validate=False)
+    for ask in (g.derivation_algebra, g.derivation_matrices,
+                g.is_characteristically_nilpotent):
+        with pytest.raises(JacobiError):
+            ask()
+        assert g._der is None
+
+
 def test_jacobi_witness_is_first_failing_triple(rng):
     for _ in range(40):
         n = rng.randint(3, 5)

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from liekernel import LieAlgebra, betti, parse_algebra
 from liekernel.errors import LieKernelError
-from liekernel.linalg import Subspace, det, inverse, nullspace, rank, rref
+from liekernel.g2flow import Poly
+from liekernel.linalg import (Subspace, combine, det, inverse, nullspace, rank,
+                              rref)
 
 SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 LARGE = st.builds(Fraction, st.integers(-10**30, 10**30),
@@ -37,6 +39,18 @@ def matrices(draw, rows=None, cols=None):
     if m and draw(st.booleans()):
         m[draw(st.integers(0, len(m) - 1))] = (Fraction(0),) * ncols
     return m
+
+
+RINGS = {"int": st.integers(-10**20, 10**20), "Fraction": SMALL,
+         "Poly": st.lists(SMALL, max_size=3).map(Poly)}
+
+
+@st.composite
+def row_combinations(draw):
+    """(c, row) pairs over one ring, rows sparse dicts on a few keys."""
+    value = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    row = st.dictionaries(st.integers(0, 5), value, max_size=4)
+    return draw(st.lists(st.tuples(value, row), max_size=5))
 
 
 @st.composite
@@ -187,3 +201,22 @@ def test_betti_of_permuted_rescaled_sums_is_kunneth(names, data):
     c = [[[g.c[perm[i]][perm[j]][perm[k]] * s[i] * s[j] / s[k]
            for k in range(n)] for j in range(n)] for i in range(n)]
     assert betti(LieAlgebra(c)).betti == expected
+
+
+@EXAMPLES
+@given(row_combinations())
+def test_combine_is_the_sum_of_the_scaled_rows(terms):
+    keys = {k for _, row in terms for k in row}
+    expected = {k: sum((c * row[k] for c, row in terms if k in row), 0)
+                for k in keys}
+    assert combine(terms) == expected
+    assert combine(iter(terms)) == expected  # any iterable, read once
+
+
+def test_combine_of_nothing_is_empty_and_a_cancelled_key_stays():
+    assert combine([]) == {}
+    assert combine([(2, {})]) == {}
+    for one in (1, Fraction(1), Poly.const(1)):
+        total = combine([(one, {0: 2 * one, 1: one}), (-2 * one, {0: one})])
+        assert list(total) == [0, 1]
+        assert not total[0] and total[1] == one

@@ -2,7 +2,11 @@
 module defines, and exactly the names of the eager package before it."""
 
 import importlib
+import inspect
+import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,30 @@ def test_unknown_names_raise_attribute_error():
     # a submodule is no export: importing it by name still works
     from liekernel import cohomology
     assert cohomology is sys.modules["liekernel.cohomology"]
+
+
+def test_readme_layout_names_resolve():
+    """Each identifier in backticks in README's Layout table is a module, a
+    module-level name or a class attribute of the package; the exceptions
+    are `liekernel` commands and the binding name `l2`.  A span that does
+    not start with an identifier, such as `.lie` or `--bind`, is none."""
+    modules = [importlib.import_module(f"liekernel.{m.name}")
+               for m in pkgutil.iter_modules(liekernel.__path__)]
+    known = {m.__name__.rsplit(".", 1)[1] for m in modules}
+    for module in modules:
+        known.update(vars(module))
+        known.update(attr for cls in vars(module).values()
+                     if inspect.isclass(cls) and cls.__module__ == module.__name__
+                     for attr in vars(cls))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    rows = [line for line in table.split("\n\n")[1].splitlines()
+            if line.startswith("| `")]
+    assert rows
+    stale = []
+    for span in re.findall(r"`([^`]+)`", "\n".join(rows)):
+        name = re.match(r"[A-Za-z_]\w*", span)
+        if (name and name[0] not in known and name[0] != "l2"
+                and span.split()[0] != "liekernel"):
+            stale.append(span)
+    assert stale == []
