@@ -176,7 +176,7 @@ def cmd_kernel(args):
 
 
 def cmd_structure(args):
-    from .cohomology import betti, is_23_trivial
+    from .cohomology import betti
 
     g = _algebra(args)
     rep = betti(g)
@@ -187,7 +187,7 @@ def cmd_structure(args):
         "derived_series_dims": [s.dim for s in g.derived_series()],
         "lower_central_dims": [s.dim for s in g.lower_central_series()],
         "betti": list(rep.betti),
-        "is_23_trivial": is_23_trivial(g),
+        "is_23_trivial": not any(rep.betti[2:4]),
     }
     if result["is_23_trivial"] and g.n >= 2:
         from .families import trivial23_consequences

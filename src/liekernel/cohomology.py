@@ -7,12 +7,12 @@ the alternating-sum formula
 packaged degree by degree, and d o d = 0 is exactly the Jacobi identity,
 so every complex validates its algebra when it is built.
 The differential matrices are kept as sparse integer rows of D d_k, with D
-the common denominator of the structure constants (`CEComplex.scale`),
-built by `exterior.derivation_rows` from the integer images D de^m, rows
-and columns in the lex basis of `exterior.lex`.  Ranks, pivots, cocycles
-and coboundaries are the same at any scale, so they read these rows as they
-are; the readers of the matrix itself, `ce_differential` and
-`LieKernel.dP_rows`, divide by D.  `CEComplex.d` combines these rows
+the algebra's `scale`, the common denominator of its structure constants,
+built by `exterior.derivation_rows` from the integer images D de^m read off
+its `br`, rows and columns in the lex basis of `exterior.lex`.  Ranks,
+pivots, cocycles and coboundaries are the same at any scale, so they read
+these rows as they are; the readers of the matrix itself, `ce_differential`
+and `LieKernel.dP_rows`, divide by D.  `CEComplex.d` combines these rows
 (`linalg.combine`) with a form's int numerators and divides once per entry,
 and `verify_d_squared` combines the rows of d_{k+1} by each row of d_k.
 Ranks are taken by exact sparse integer elimination (`linalg.rank`), and
@@ -58,15 +58,15 @@ def _check_degree(k: int):
 class CEComplex:
     """CE differential matrices of one algebra, with cached ranks and Z^k.
 
-    The complex keeps only n and the scaled terms of D de^k, not the
-    algebra: the algebra caches its complex (`complex_of`), and a reference
-    back would make a cycle.
+    The complex keeps only n, D (`scale`) and the integer terms of D de^k,
+    not the algebra: the algebra caches its complex (`complex_of`), and a
+    reference back would make a cycle.
     """
 
     def __init__(self, algebra: LieAlgebra):
         algebra.validate()  # so d o d = 0, which d_rank relies on
         self.n = n = algebra.n
-        self.scale, br = algebra.scaled_brackets()
+        self.scale, br = algebra.scale, algebra.br
         # D de^m = -sum_{a<b} D c^m_ab e_ab
         self._images: list[dict] = [{} for _ in range(n)]
         for a in range(n):

@@ -391,10 +391,19 @@ def _interval_contains(a_mat, t: Fraction) -> bool:
     return True
 
 
+def _floats(*values) -> list[float]:
+    """Exact curvature data as floats; a FlowError, not an OverflowError,
+    where a value is past the float range."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise FlowError("the curvature is past the float range") from None
+
+
 def max_interval(f_mat) -> tuple[float, float]:
     """Maximal interval around 0 with det(1 + tA) nonzero, as floats."""
     a = _curvature_twist(f_mat)
-    det_a, tr_a = float(mat2_det(a)), float(mat2_tr(a))
+    det_a, tr_a = _floats(mat2_det(a), mat2_tr(a))
     disc = tr_a * tr_a - 4.0 * det_a
     if det_a == 0:
         roots = [-1.0 / tr_a] if tr_a else []
@@ -486,8 +495,9 @@ def flow_integrate(f_mat, t_end: float, step: float,
     M' comes from sigma_1' = -d theta_2, sigma_2' = d theta_1 with the
     curvature frozen in the initial frame; q' and h' from the wedge-matrix
     evolution.  on_row, if given, receives (t, q11, q12, q22, h) at t = 0
-    and after each step; no sample is kept.  Raises FlowError if det M
-    changes sign along the way or the state overflows.
+    and after each step; no sample is kept.  Raises FlowError if an entry
+    of F is past the float range, det M changes sign along the way or the
+    state overflows.
     """
     f, a = mat2(f_mat), _curvature_twist(f_mat)
     steps, t, residual = 0, 0.0, 0.0
@@ -512,7 +522,7 @@ def flow_integrate(f_mat, t_end: float, step: float,
 
     y0 = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
     try:
-        y = rk4_integrate(_flow_rhs([[float(x) for x in row] for row in f]),
+        y = rk4_integrate(_flow_rhs([_floats(*row) for row in f]),
                           y0, t_end, step, on_step)
     except ZeroDivisionError:  # an RK4 stage landed on h = det M = 0
         raise FlowError(f"det M reached 0 after t = {t}: left "

@@ -14,9 +14,9 @@ read off one reduction of (psi, 0) against the rows (d_P e_c, e_c).
 
 ad on multivectors is one integer seam, `scaled_ad`: ad_z p is the sum of
 z_i p_B times the rows of D ad_{e_i} e_B (`linalg.combine`), each row the
-image of one basis multivector under the columns of D ad_{e_i} (the scaled
-brackets D [e_i, e_j]) extended by the Leibniz rule
-(`exterior.derivation_rows`).  The rows are built on first
+image of one basis multivector under the columns br[i][j] = D [e_i, e_j] of
+D ad_{e_i}, the algebra's integer brackets over its `scale` D, extended by
+the Leibniz rule (`exterior.derivation_rows`).  The rows are built on first
 use, only for the basis multivectors asked for, and cached on the algebra.
 `ad_multivector` divides once; the adjoint identity
 <d_P alpha, Z ^ p> = -<alpha, ad_Z p> of the corpus suite compares the CE
@@ -139,9 +139,8 @@ def _unit_ad_rows(g: LieAlgebra, units, coeffs: dict) -> list[dict]:
         if coeffs.keys() <= rows.keys():
             continue
         missing = [b for b in coeffs if b not in rows]
-        # column j of D ad_{e_i} is D [e_i, e_j]
-        images = [{1 << m: v for m, v in col.items()}
-                  for col in g.scaled_brackets()[1][i]]
+        # column j of D ad_{e_i} is br[i][j] = D [e_i, e_j]
+        images = [{1 << m: v for m, v in col.items()} for col in g.br[i]]
         ixs, _, pos = lex(g.n, missing[0].bit_count())
         built = derivation_rows(images, [(ixs[pos[b]], b) for b in missing])
         for b, row in zip(missing, built):
@@ -161,7 +160,7 @@ def scaled_ad(g: LieAlgebra, z, coeffs: dict) -> tuple[int, dict[int, int]]:
     lz, zs = clear_denominators({i: q for i, q in enumerate(z) if q})
     lp, nums = clear_denominators(coeffs)
     rows = _unit_ad_rows(g, zs, nums)
-    return g.scaled_brackets()[0] * lz * lp, combine(
+    return g.scale * lz * lp, combine(
         (zi * v, row) for i, zi in zs.items()
         for b, v in nums.items() if (row := rows[i][b]))
 

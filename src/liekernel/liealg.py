@@ -1,32 +1,31 @@
 """Lie algebra structure: bracket, series, derivations, direct sums.
 
 There is one way in, the fill of `LieAlgebra.from_brackets`: it takes the
-nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j and stores each
-constant straight into the sparse sc[i][j] = {k: c^k_ij} (Fractions,
-ascending k), as q at (i, j) and -q at (j, i); most constants of a real
-algebra are zero.  `LieAlgebra(c)` is a checked adapter for a dense tensor:
-it checks shape and antisymmetry and hands the upper triangle to that fill.
-The dense c[i][j][k] = coefficient of e_k in [e_i, e_j] is a read-only
-view, built from sc on first read, for the callers that index it.
-`brackets` hands the nonzeros back in the form `from_brackets` takes.
-`scaled_brackets` keeps them once more, times their common denominator D,
-as integers, for the Jacobi test, the integer CE rows and the integer ad
-rows of `kernelmap`.  The Jacobi sums, `bracket` and `ad` are sums of
-these sparse rows, by `linalg.combine`.  The derived and lower central
-series and Der(g) are computed once per algebra, after validation, and
-cached, as its complex and Lie kernel are; each series call hands out a
-fresh list, and `derived_algebra` is the second term of the derived series.
+nonzero brackets {(i, j): {k: c^k_ij}} over 1-based i < j and keeps them
+once, as integers over one denominator: `scale` D, the lcm of their
+denominators, and br[i][j] = {k: D c^k_ij} (ascending k), v at (i, j) and
+-v at (j, i).  `LieAlgebra(c)` is a checked adapter for a dense tensor: it
+checks shape and antisymmetry and hands the upper triangle to that fill.
+The dense view c[i][j][k] = coefficient of e_k in [e_i, e_j], built on
+first read, and `brackets`, the nonzeros in the form `from_brackets`
+takes, divide by D; the Jacobi test, Der(g), the CE rows and the ad rows
+of `kernelmap` read br as it is.  One private bracket, `_bracket(u, v)` =
+D [u, v] on {index: value} dicts by `linalg.combine`, is behind `bracket`
+and `ad`, which divide by D, and behind `product_space`, `is_ideal` and
+`subalgebra`, which take the integer rows of a `Subspace`, since a span
+does not depend on the scale.  The two series and Der(g) are computed once
+per algebra, after validation, and cached, as its complex and Lie kernel
+are; each series call hands out a fresh list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
 
 from .errors import DimensionMismatch, JacobiError, LieKernelError, SubspaceError
 from .exterior import MAX_DIM
-from .linalg import Subspace, combine, identity, nullspace, vec
+from .linalg import Subspace, clear_denominators, combine, nullspace, vec
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -78,13 +77,13 @@ class LieAlgebra:
     def _fill(self, n: int, brackets: dict, name: str | None):
         _check_dim(n)
         self.n, self.name, self._validated = n, name, False
-        # caches filled on first use by the c property, scaled_brackets,
-        # the two series and Der(g) (after validation, so an algebra that
-        # fails Jacobi caches none), cohomology.complex_of,
-        # kernelmap.lie_kernel and the per-unit ad rows of kernelmap.scaled_ad
-        self._c = self._scaled = self._derived = self._lower = self._der = None
+        # caches filled on first use by the c property, the two series and
+        # Der(g) (after validation, so an algebra that fails Jacobi caches
+        # none), cohomology.complex_of, kernelmap.lie_kernel and the
+        # per-unit ad rows of kernelmap.scaled_ad
+        self._c = self._derived = self._lower = self._der = None
         self._complex = self._kernel = self._ad_rows = None
-        sc = [[{} for _ in range(n)] for _ in range(n)]
+        consts = {}
         for (i, j), comps in brackets.items():
             if not 1 <= i < j <= n:
                 raise DimensionMismatch(f"bad bracket key {(i, j)}")
@@ -94,25 +93,29 @@ class LieAlgebra:
                         f"bracket component e{k} of {(i, j)} outside 1..{n}")
                 q = q if type(q) is Fraction else Fraction(q)
                 if q:
-                    sc[i - 1][j - 1][k - 1] = q
-                    sc[j - 1][i - 1][k - 1] = -q
-        self.sc = tuple(map(tuple, sc))
+                    consts[i - 1, j - 1, k - 1] = q
+        self.scale, ints = clear_denominators(consts)
+        br = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j, k), v in ints.items():
+            br[i][j][k], br[j][i][k] = v, -v
+        self.br = tuple(map(tuple, br))
 
     @property
     def c(self) -> tuple:
         """Dense c[i][j][k] = coefficient of e_k in [e_i, e_j], all
-        Fractions; built from sc on first read."""
+        Fractions; built from br on first read."""
         if self._c is None:
-            ks = range(self.n)
-            self._c = tuple(tuple(tuple(row.get(k, _ZERO) for k in ks)
-                                  for row in plane) for plane in self.sc)
+            d, ks = self.scale, range(self.n)
+            self._c = tuple(tuple(tuple(Fraction(row.get(k, 0), d) for k in ks)
+                                  for row in plane) for plane in self.br)
         return self._c
 
     def brackets(self) -> dict:
         """The nonzero brackets in the form `from_brackets` takes: 1-based
         (i, j) with i<j to {k: c^k_ij}, in lex order of (i, j)."""
-        return {(i + 1, j + 1): {k + 1: q for k, q in row.items()}
-                for i, plane in enumerate(self.sc)
+        d = self.scale
+        return {(i + 1, j + 1): {k + 1: Fraction(v, d) for k, v in row.items()}
+                for i, plane in enumerate(self.br)
                 for j, row in enumerate(plane) if i < j and row}
 
     def validate(self) -> "LieAlgebra":
@@ -121,7 +124,7 @@ class LieAlgebra:
             return self
         # the identity is quadratic in c, so it holds for D c exactly when
         # it holds for c, and the cyclic sums run in integers over nonzeros
-        br = self.scaled_brackets()[1]
+        br = self.br
         for i, j, k in combinations(range(self.n), 3):
             total = combine((q, row)
                             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
@@ -133,47 +136,48 @@ class LieAlgebra:
         self._validated = True
         return self
 
-    def scaled_brackets(self) -> tuple[int, tuple]:
-        """(D, br): D the least common denominator of the structure
-        constants and br[a][b] = {m: D c^m_ab} in integers; cached."""
-        if self._scaled is None:
-            d = lcm(*(q.denominator for plane in self.sc for row in plane
-                      for q in row.values()))
-            self._scaled = d, tuple(
-                tuple({m: q.numerator * (d // q.denominator)
-                       for m, q in row.items()} for row in plane)
-                for plane in self.sc)
-        return self._scaled
+    def _bracket(self, u: dict, v: dict) -> dict:
+        """D [u, v] for u, v as {index: value} dicts, a sum of the rows of
+        br by `combine`; a value may be zero where terms cancel."""
+        br = self.br
+        return combine((x * y, row) for i, x in u.items()
+                       for j, y in v.items() if (row := br[i][j]))
+
+    def _nonzeros(self, x) -> dict:
+        x = vec(x)
+        if len(x) != self.n:
+            raise DimensionMismatch("vector outside the algebra")
+        return {i: q for i, q in enumerate(x) if q}
+
+    def _own(self, space: Subspace) -> Subspace:
+        if space.ambient != self.n:
+            raise DimensionMismatch("subspace of a different algebra")
+        return space
 
     def bracket(self, x, y) -> Vector:
-        x, y = vec(x), vec(y)
-        if len(x) != self.n or len(y) != self.n:
-            raise DimensionMismatch("vectors outside the algebra")
-        sc, out = self.sc, [_ZERO] * self.n
-        for k, v in combine((xi * yj, row) for i, xi in enumerate(x) if xi
-                            for j, yj in enumerate(y)
-                            if yj and (row := sc[i][j])).items():
-            out[k] = v
+        d, out = self.scale, [_ZERO] * self.n
+        xy = self._bracket(self._nonzeros(x), self._nonzeros(y))
+        for k, v in xy.items():
+            out[k] = v / d
         return tuple(out)
 
     def ad(self, x) -> list[Vector]:
         """Matrix of ad_x, rows indexed by output component: column j is
         [x, e_j], the sum of x_i [e_i, e_j]."""
-        x = vec(x)
-        if len(x) != self.n:
-            raise DimensionMismatch("vector outside the algebra")
-        cols = [combine((xi, self.sc[i][j]) for i, xi in enumerate(x) if xi)
-                for j in range(self.n)]
-        return [tuple(col.get(k, _ZERO) for col in cols) for k in range(self.n)]
+        d, x = self.scale, self._nonzeros(x)
+        cols = [self._bracket(x, {j: 1}) for j in range(self.n)]
+        return [tuple(col.get(k, _ZERO) / d for col in cols)
+                for k in range(self.n)]
 
     # -- ideals and series ---------------------------------------------------
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        rows = [self.bracket(u, v) for u in a.basis for v in b.basis]
-        return Subspace(self.n, rows)
+        rows = self._own(b).rows
+        return Subspace(self.n, [self._bracket(u, v) for u in self._own(a).rows
+                                 for v in rows])
 
     def full_space(self) -> Subspace:
-        return Subspace(self.n, identity(self.n))
+        return Subspace(self.n, [{i: 1} for i in range(self.n)])
 
     def _series(self, left) -> tuple[Subspace, ...]:
         """g, then [left(series), last term] until a term is zero or keeps
@@ -215,7 +219,7 @@ class LieAlgebra:
         """tr(ad_x) = 0 for every x."""
         self.validate()
         return not any(sum(row.get(j, 0) for j, row in enumerate(plane))
-                       for plane in self.sc)
+                       for plane in self.br)
 
     # -- constructions ---------------------------------------------------------
 
@@ -230,15 +234,17 @@ class LieAlgebra:
         return out
 
     def subalgebra(self, space: Subspace, name: str | None = None) -> "LieAlgebra":
-        """Structure constants in the echelon basis of a closed subspace."""
-        if space.ambient != self.n:
-            raise DimensionMismatch("subspace of a different algebra")
-        brackets = {}
-        for (i, u), (j, v) in combinations(enumerate(space.basis, 1), 2):
-            coords = space.coordinates(self.bracket(u, v))
+        """Structure constants in the echelon basis of a closed subspace:
+        basis vector i is row i over its lead, so the coordinates of
+        D [row_u, row_v] are divided by D lead_u lead_v."""
+        brackets, d = {}, self.scale
+        rows = enumerate(zip(self._own(space).rows, space.pivots), 1)
+        for (i, (u, pu)), (j, (v, pv)) in combinations(rows, 2):
+            coords = space.coordinates(self._bracket(u, v))
             if coords is None:
                 raise SubspaceError("subspace is not closed under the bracket")
-            brackets[i, j] = {k: q for k, q in enumerate(coords, 1) if q}
+            s = d * u[pu] * v[pv]
+            brackets[i, j] = {k: x / s for k, x in enumerate(coords, 1) if x}
         sub = LieAlgebra.from_brackets(space.dim, brackets, name=name,
                                        validate=False)
         sub._validated = self._validated
@@ -246,11 +252,9 @@ class LieAlgebra:
 
     def is_ideal(self, space: Subspace) -> bool:
         self.validate()
-        return all(
-            space.contains(self.bracket(u, v))
-            for u in identity(self.n)
-            for v in space.basis
-        )
+        rows = self._own(space).rows
+        return all(space.contains(self._bracket({i: 1}, v))
+                   for i in range(self.n) for v in rows)
 
     # -- derivations -------------------------------------------------------------
 
@@ -263,7 +267,7 @@ class LieAlgebra:
         if self._der is not None:
             return self._der
         self.validate()
-        n, br = self.n, self.scaled_brackets()[1]
+        n, br = self.n, self.br
         rows = []
         # unknowns D[a][b], flattened index a*n + b; one integer dict row
         # per (i < j, k), the equation times D, from the nonzero constants
@@ -302,19 +306,14 @@ class LieAlgebra:
         """
         if not self.is_nilpotent():
             raise LieKernelError("characteristic nilpotency needs a nilpotent input")
-        n, ders = self.n, self.derivation_algebra().rows
-        space = self.full_space()
+        n, space, cols = self.n, self.full_space(), []
+        for d in self.derivation_algebra().rows:
+            cols.append([{} for _ in range(n)])  # column b: {a: D[a][b]}
+            for ab, x in d.items():
+                cols[-1][ab % n][ab // n] = x
         while space.dim:
-            image = []
-            for d in ders:  # D[a][b] at a*n + b, an integer multiple of D
-                for v in space.rows:
-                    dv: dict[int, int] = {}
-                    for ab, x in d.items():
-                        a, b = divmod(ab, n)
-                        if b in v:
-                            dv[a] = dv.get(a, 0) + x * v[b]
-                    image.append(dv)
-            nxt = Subspace(n, image)
+            nxt = Subspace(n, [combine((x, col[b]) for b, x in v.items())
+                               for col in cols for v in space.rows])
             if nxt.dim == space.dim:
                 return False
             space = nxt

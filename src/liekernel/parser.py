@@ -156,7 +156,8 @@ def parse(text: str) -> AlgebraExpr:
     if text[pos:pos + 1] != "(":
         raise ParseError("expected '('", pos)
     pos += 1
-    raw_slots: list[list[Term]] = [[]]
+    # each term with its match start, the position a range error reports
+    raw_slots: list[list[tuple[int, Term]]] = [[]]
     while True:
         terms = raw_slots[-1]
         m = _TERM_RE.match(text, pos)
@@ -166,7 +167,7 @@ def parse(text: str) -> AlgebraExpr:
         pos = m.end()
         end = text[pos:pos + 1]
         if terms or m.group().strip() != "0" or end not in (",", ")"):
-            terms.append(_tuple_term(m))  # else it is the zero slot "0"
+            terms.append((m.start(), _tuple_term(m)))  # else the zero slot "0"
         if end == ")":
             break
         if end == ",":
@@ -180,11 +181,12 @@ def parse(text: str) -> AlgebraExpr:
     if n > MAX_DIM:
         raise ParseError(f"dimension above {MAX_DIM} is unsupported", 0)
     for terms in raw_slots:
-        for t in terms:
-            i, j = t.pair
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(f"index pair {t.pair} out of range 1..{n}", 0)
-    return AlgebraExpr(n, tuple(_canonical_slot(ts) for ts in raw_slots))
+        for start, t in terms:
+            if not all(1 <= i <= n for i in t.pair):
+                raise ParseError(f"index pair {t.pair} out of range 1..{n}",
+                                 start)
+    return AlgebraExpr(n, tuple(_canonical_slot([t for _, t in ts])
+                                for ts in raw_slots))
 
 
 def _format_terms(terms, n: int) -> str:

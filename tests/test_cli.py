@@ -506,11 +506,34 @@ def test_human_readable_default(capsys):
     assert "b: [1, 2, 2, 1]" in out
 
 
+def test_structure_ranks_each_degree_once(capsys, monkeypatch):
+    # (2,3)-triviality is read off the Betti report, not ranked again
+    from liekernel import cohomology
+
+    calls = []
+    rank = cohomology.rank
+    monkeypatch.setattr(cohomology, "rank",
+                        lambda *a, **k: calls.append(a) or rank(*a, **k))
+    code, payload = run_json(capsys, "structure", "(0,12,2.13,-4.14,15)")
+    assert code == 0 and payload["result"]["is_23_trivial"] is True
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("argv", [[], ["--t-end", "0.1"]],
+                         ids=["default-t-end", "t-end"])
+def test_flow_curvature_past_the_float_range_is_a_flow_error(capsys, argv):
+    code = main(["g2-flow", "--F", "9" * 400 + ",0,0,1", *argv, "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["type"] == "FlowError"
+
+
 SU3 = ("(-2.36-2.47,-2.47-2.58,2.16-26+45+78,17+27-35+68,-18+2.28+34+67,"
        "-2.13+23-48-57,-14-24-38+56,15-2.25+37+46)")
 
 # Reports that read the lex basis of Lambda^k (kernel bases, coset
-# representatives, d_P images), pinned byte for byte.
+# representatives, d_P images), or structure constants over a common
+# denominator above 1, pinned byte for byte.
 PINNED_JSON = [
     (('kernel', 'SU3'),
      '{"command":"kernel","input_sha256":"d003754c114027a12a6aa6bc15f552ac30020e58ad87b89d847a686167e40a7b","mode":"exact","result":{"basis_bivectors":["12","13-2.57","14+56","15-46","16-2.78","17-68","18+67","23+57","24+56","25+2.46","26+78","27-68","28-2.67","34-67","35+68","36-47+58","37-46","38+56","45-78","48-57"],"dP_injective":true,"dP_surjective_onto_Z3":false,"dim":20,"formula_value":20,"matches_formula":true},"schema":"liekernel-report/1"}'),
@@ -524,11 +547,18 @@ PINNED_JSON = [
      '{"command":"mmmap","input_sha256":"8be2d67457aa9bf2b2e4564255b0468b909d6902611ae33699dafd3c7a2d82a0","mode":"exact","result":{"beta":"-2/3.23","dP_beta":"123","round_trip_ok":true},"schema":"liekernel-report/1"}'),
     (('structure', '(0,12,2.13,-4.14,15)'),
      '{"command":"structure","input_sha256":"eeb656c4e75a6f400a49454a40477b14e1d987a2f2cf61ae445cfaec956931d6","mode":"exact","result":{"betti":[1,1,0,0,1,1],"derived_series_dims":[5,4,0],"is_23_trivial":true,"lower_central_dims":[5,4,4],"nilpotent":false,"solvable":true,"trivial23_consequences":{"b1_is_1":true,"derived_codim_1":true,"derived_nilpotent":true,"not_basis_split":true,"not_nilpotent":true,"solvable":true},"unimodular":true},"schema":"liekernel-report/1"}'),
+    (('extend', '(0,0,1/2.12)', '--grading', '1,1,2'),
+     '{"command":"extend","input_sha256":"317ab164cdcbe6b4209d15e9bb6f9eef08bf4bed5e8ece977b84ac25cdcedc5f","mode":"exact","result":{"dim":4,"extension":"(0,-12,-13,-2.14+1/2.23)","is_23_trivial":true},"schema":"liekernel-report/1"}'),
+    (('structure', '(0,21,1/3.31)'),
+     '{"command":"structure","input_sha256":"434501b43842f6ab729904342bdee7d9338bab13fcbd7e2d87f9afbc3afdeb3a","mode":"exact","result":{"betti":[1,1,0,0],"derived_series_dims":[3,2,0],"is_23_trivial":true,"lower_central_dims":[3,2,2],"nilpotent":false,"solvable":true,"trivial23_consequences":{"b1_is_1":true,"derived_codim_1":true,"derived_nilpotent":true,"not_basis_split":true,"not_nilpotent":true,"solvable":true},"unimodular":false},"schema":"liekernel-report/1"}'),
+    (('derivations', '(0,0,12,13,23,14+25+a.23,16+25+35+a.24)', '--bind', 'a=1/2'),
+     '{"command":"derivations","input_sha256":"17d832affc8896021860488bd9f03b4e1a2e5786268520b5bd386e2f30a39d65","mode":"exact","result":{"characteristically_nilpotent":true,"dim":10},"schema":"liekernel-report/1"}'),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", PINNED_JSON, ids=[
-    "kernel-su3", "kernel-h3", "orbit-su3", "orbit-u2", "mmmap-r3", "structure-u5"])
+    "kernel-su3", "kernel-h3", "orbit-su3", "orbit-u2", "mmmap-r3", "structure-u5",
+    "extend-half", "structure-r3-third", "derivations-cn7-half"])
 def test_lex_dependent_json_is_pinned(capsys, argv, expected):
     code, out = run(capsys, *(SU3 if a == "SU3" else a for a in argv), "--json")
     assert code == 0

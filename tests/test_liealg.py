@@ -79,7 +79,7 @@ def test_antisymmetry_witness_is_first_failing_entry(rng):
 
 
 def _sparse_constants(g):
-    return [[list(row.items()) for row in plane] for plane in g.sc]
+    return [[list(row.items()) for row in plane] for plane in g.br]
 
 
 def _permuted_rescaled(g, rng):
@@ -109,8 +109,7 @@ def test_dense_adapter_reproduces_the_sparse_algebra(rng):
     assert len(fixtures) == 32
     su3 = dict(fixtures)["su3"]
     dense, ref = _permuted_rescaled(su3, rng)
-    assert any(q.denominator > 1 for plane in ref.sc for row in plane
-               for q in row.values())
+    assert ref.scale > 1
     cases = [(name, g.c, g) for name, g in fixtures]
     for label, c, g in cases + [("su3 rescaled", dense, ref)]:
         for h in (LieAlgebra(c), LieAlgebra.unchecked(c)):
@@ -239,6 +238,19 @@ def test_predicates(h3, su2):
     assert not parse_algebra("(12,0)").is_unimodular()
 
 
+@pytest.mark.parametrize("x, y", [
+    ((1, 0, 2, 0), (0, 1, 1, Fraction(1, 5))),
+    ((0, 0, 0, 0), (1, 1, 1, 1)),
+], ids=["generic", "zero"])
+def test_entries_stay_fractions_over_a_common_denominator(x, y):
+    g = parse_algebra("(0,1/2.21,1/3.31,1/6.41)")
+    assert g.scale == 6
+    entries = [*g.bracket(x, y), *(q for row in g.ad(x) for q in row),
+               *(q for plane in g.c for row in plane for q in row),
+               *(q for comps in g.brackets().values() for q in comps.values())]
+    assert all(type(q) is Fraction for q in entries)
+
+
 def test_direct_sum(h3):
     line = parse_algebra("(0)")
     s = line.direct_sum(h3)
@@ -259,6 +271,15 @@ def test_subalgebra_and_ideal(h3):
     not_closed = Subspace(3, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(SubspaceError):
         h3.subalgebra(not_closed)
+
+
+@pytest.mark.parametrize("ambient", [2, 4])
+def test_a_subspace_of_another_algebra_is_refused(h3, ambient):
+    space = Subspace(ambient, [[1] + [0] * (ambient - 1)])
+    for call in (lambda: h3.product_space(space, h3.full_space()),
+                 lambda: h3.is_ideal(space), lambda: h3.subalgebra(space)):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_derivations_of_h3(h3):
@@ -363,12 +384,13 @@ def test_matrix_lie_algebra_reports_the_given_basis(order, expected):
 
 def test_from_brackets_stores_the_sparse_constants_in_ascending_k():
     g = LieAlgebra.from_brackets(3, {(1, 2): {3: 1, 1: 2}})
-    assert list(g.sc[0][1].items()) == [(0, 2), (2, 1)]
-    assert list(g.sc[1][0].items()) == [(0, -2), (2, -1)]
-    assert not any(g.sc[i][j] for i in range(3) for j in range(3)
+    assert g.scale == 1
+    assert list(g.br[0][1].items()) == [(0, 2), (2, 1)]
+    assert list(g.br[1][0].items()) == [(0, -2), (2, -1)]
+    assert not any(g.br[i][j] for i in range(3) for j in range(3)
                    if {i, j} != {0, 1})
     dense = LieAlgebra(g.c)
-    assert dense.sc == g.sc and dense.c == g.c
+    assert dense.br == g.br and dense.c == g.c
     assert g.c[0][1] == (2, 0, 1) and g.c[1][0] == (-2, 0, -1)
     with pytest.raises(AttributeError):
         g.c = dense.c

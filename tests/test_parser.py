@@ -69,6 +69,17 @@ def test_parse_errors_carry_position(bad, fragment):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(0,0,12+[5,1])", 7),
+    ("(0,0,45)", 5),
+    ("(0,0,12,[1,3]-[4,9])", 13),
+])
+def test_out_of_range_pair_reports_its_terms_position(text, position):
+    with pytest.raises(ParseError, match="out of range") as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_instantiate_sign_convention():
     g = instantiate(parse("(0,21,l.31)"), {"l": Fraction(1, 2)})
     g.validate()
