@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import sys
 
 from .errors import DimensionMismatch, FlowError, G2Error
 from .exterior import (KForm, basis_form, covector_of, extend_as_derivation,
@@ -401,16 +402,23 @@ def _floats(*values) -> list[float]:
 
 
 def max_interval(f_mat) -> tuple[float, float]:
-    """Maximal interval around 0 with det(1 + tA) nonzero, as floats."""
+    """Maximal interval around 0 with det(1 + tA) nonzero, as floats.
+
+    The roots of 1 + bt + ct^2, b = tr A and c = det A, are exact but for
+    sqrt(disc), which `math.isqrt` takes to 64 bits past the point:
+    t1 = 2 / (-b - sgn(b) sqrt(disc)), whose denominator does not cancel,
+    and t2 = 1 / (c t1).  They become floats only at the end."""
     a = _curvature_twist(f_mat)
-    det_a, tr_a = _floats(mat2_det(a), mat2_tr(a))
-    disc = tr_a * tr_a - 4.0 * det_a
-    if det_a == 0:
-        roots = [-1.0 / tr_a] if tr_a else []
-    else:
-        roots = [(-tr_a + s * math.sqrt(disc)) / (2.0 * det_a)
-                 for s in (-1.0, 1.0)] if disc >= 0 else []
-    # det(1 + 0A) = 1, so no root is 0
+    c, b = mat2_det(a), mat2_tr(a)
+    _floats(c, b)  # a FlowError where either is past the float range
+    disc, roots = b * b - 4 * c, []
+    if disc >= 0 and (b or c):
+        num, den = disc.numerator, disc.denominator
+        sqrt = Fraction(math.isqrt(num * den << 128), den << 64)
+        t1 = 2 / (-b - sqrt if b >= 0 else sqrt - b)
+        roots = [t1, 1 / (c * t1)] if c else [t1]
+    # det(1 + 0A) = 1, so no root is 0; one past the float range is inf
+    roots = [float(t) for t in roots if abs(t) <= sys.float_info.max]
     return (max((r for r in roots if r < 0), default=-math.inf),
             min((r for r in roots if r > 0), default=math.inf))
 

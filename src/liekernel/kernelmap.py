@@ -18,9 +18,10 @@ image of one basis multivector under the columns br[i][j] = D [e_i, e_j] of
 D ad_{e_i}, the algebra's integer brackets over its `scale` D, extended by
 the Leibniz rule (`exterior.derivation_rows`).  The rows are built on first
 use, only for the basis multivectors asked for, and cached on the algebra.
-`ad_multivector` divides once; the adjoint identity
-<d_P alpha, Z ^ p> = -<alpha, ad_Z p> of the corpus suite compares the CE
-rows D d_2 against these rows in integers.
+`ad_multivector` divides once; the corpus suite checks the adjoint identity
+<d_P alpha, Z ^ p> = -<alpha, ad_Z p> for every alpha at once, as the
+vector equation d_2^T (Z ^ p) = -ad_Z p in integers, on the CE rows D d_2
+and these rows.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .cohomology import complex_of
 from .errors import DimensionMismatch, MomentMapError
 from .exterior import KForm, KVector, derivation_rows, interior, lex, pairing
 from .liealg import LieAlgebra
-from .linalg import (Subspace, clear_denominators, combine, identity,
-                     nullspace, rank)
+from .linalg import Subspace, clear_denominators, combine, identity, nullspace
 
 
 class LieKernel:
@@ -66,12 +66,8 @@ class LieKernel:
 
     def dP_rows(self) -> list[dict]:
         """Matrix of d_P: sparse rows of d_2 at the slice, over lex triples."""
-        return self.complex.unscale(self._scaled_dP_rows())
-
-    def _scaled_dP_rows(self) -> list[dict]:
-        """The integer rows of D d_P, for the scale-free rank."""
         rows = self.complex.d_rows(2)
-        return [rows[c] for c in self.slice]
+        return self.complex.unscale([rows[c] for c in self.slice])
 
     def canonical_rep(self, form: KForm) -> KForm:
         """The representative of form + B^2 that is zero at every pivot
@@ -189,10 +185,9 @@ def dP_properties(g: LieAlgebra) -> DPProperties:
     against the Betti numbers they are equivalent to."""
     kernel = lie_kernel(g)
     cx = kernel.complex
-    n = g.n
-    r = rank(kernel._scaled_dP_rows(), comb(n, 3))
-    dim_pstar = kernel.dim
-    dim_z3 = comb(n, 3) - cx.d_rank(3)
+    # d_2 vanishes on B^2, so d_P has the rank of d_2
+    r, dim_pstar = cx.d_rank(2), kernel.dim
+    dim_z3 = comb(g.n, 3) - cx.d_rank(3)
     injective = r == dim_pstar
     surjective = r == dim_z3
     if (injective != (cx.betti_number(2) == 0)

@@ -25,7 +25,7 @@ have their stated eigenvalue behaviour.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BindingError, LieKernelError, ParseError
@@ -42,27 +42,21 @@ _TERM_RE = re.compile(
 _RATIONAL_RE = re.compile(rf"{_SIGN}{_RATIONAL}\s*")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(namedtuple("Term", "coef param pair")):
     """One summand c.ij of a slot differential.
 
     ``coef`` is the rational factor; ``param`` an optional parameter name,
-    in which case the grammar restricts coef to +-1.
+    in which case the grammar restricts coef to +-1; ``pair`` is (i, j).
     """
 
-    coef: Fraction
-    param: str | None
-    pair: tuple[int, int]
-
-    def __post_init__(self):
-        if self.param is not None and abs(self.coef) != 1:
+    def __new__(cls, coef: Fraction, param: str | None, pair: tuple):
+        if param is not None and abs(coef) != 1:
             raise ParseError("parameter terms carry only a sign", 0)
+        return super().__new__(cls, coef, param, pair)
 
 
-@dataclass(frozen=True)
-class AlgebraExpr:
-    n: int
-    slots: tuple[tuple[Term, ...], ...]
+class AlgebraExpr(namedtuple("AlgebraExpr", "n slots")):
+    """n and the slots, each a tuple of `Term`s."""
 
     @property
     def parameters(self) -> set[str]:
@@ -294,12 +288,7 @@ def serialize_form(form: KForm) -> str:
 
 # -- .lie fixture files ------------------------------------------------------
 
-@dataclass
-class LieFileEntry:
-    expr: AlgebraExpr
-    bindings: dict[str, Fraction]
-    annotations: dict[str, str]
-    line: int
+LieFileEntry = namedtuple("LieFileEntry", "expr bindings annotations line")
 
 
 def parse_binding(item: str) -> tuple[str, Fraction]:

@@ -411,7 +411,8 @@ import contextlib, io
 from liekernel import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:] + ["--json"])
-print(code, *sorted(m for m in sys.modules if m.startswith("liekernel.")))
+print(code, *sorted(m for m in sys.modules
+                   if m.startswith("liekernel.") or m == "dataclasses"))
 """
 
 
@@ -456,6 +457,8 @@ def test_each_subcommand_imports_only_its_own_modules(tmp_path):
             assert "kernelmap" not in modules, command
         if command in ("parse", "derivations", "g2-verify", "g2-flow"):
             assert "cohomology" not in modules, command
+        if command in ("parse", "derivations"):
+            assert "dataclasses" not in modules, command
     assert "families" in loaded["structure"]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, liekernel; print(*sorted("
@@ -526,6 +529,13 @@ def test_flow_curvature_past_the_float_range_is_a_flow_error(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert json.loads(out)["error"]["type"] == "FlowError"
+
+
+def test_flow_interval_keeps_the_root_near_zero_at_large_curvature(capsys):
+    # det(1 + tA) = (1 - 10^18 t)(1 - t): the interval ends at 1e-18, not 1
+    code, payload = run_json(capsys, "g2-flow", "--F",
+                             "0,1000000000000000000,-1,0", "--t-end", "1e-19")
+    assert code == 0 and payload["result"]["interval"] == ["-inf", 1e-18]
 
 
 SU3 = ("(-2.36-2.47,-2.47-2.58,2.16-26+45+78,17+27-35+68,-18+2.28+34+67,"

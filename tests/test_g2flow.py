@@ -309,6 +309,16 @@ def test_max_interval():
     # two roots on one side: the interval ends at the one nearer 0
     assert max_interval(((0, -1), (2, 0))) == (-0.5, math.inf)
     assert max_interval(((0, 1), (-2, 0))) == (-math.inf, 0.5)
+    # a double root
+    assert max_interval(((0, 2), (-2, 0))) == (-math.inf, 0.5)
+    # det(1 + tA) = (1 - Nt)(1 - t): the root near 0 survives a large N,
+    # within the float range of tr A and past it
+    assert max_interval(((0, 10 ** 17), (-1, 0))) == (-math.inf, 1e-17)
+    assert max_interval(((0, 10 ** 200), (-1, 0))) == (-math.inf, 1e-200)
+    assert max_interval(((0, -10 ** 200), (1, 0))) == (-1e-200, math.inf)
+    # a root past the float range leaves its end infinite
+    assert max_interval(((0, Fraction(1, 10 ** 400)), (0, 0))) == (
+        -math.inf, math.inf)
 
 
 def test_h_equals_det_q_sqrt_closed_form():
