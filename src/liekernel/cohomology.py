@@ -25,11 +25,37 @@ For unimodular g, d: Lambda^{n-1} -> Lambda^n vanishes, so
 0 = d(a ^ b) = da ^ b +- a ^ db makes d_k and d_{n-1-k} adjoint under the
 wedge pairing (Poincare duality): the columns of d_k whose complements are
 pivots of d_{n-2-k} are as dependent as the rows of d_{n-1-k} at those
-pivots.  `betti` ranks each d_k of the upper half once on the core off
-both cuts (`dual_ranks`), rank d_k + b_k rows by rank d_k + b_{k+1}
-columns, where the plain path keeps all C(n, k+1) columns.  `d_rank`,
-`betti_number` and `cocycles` stay the plain per-degree path, so the
-duality checks that read them (the corpus, the tests) assume nothing.
+pivots.
+`betti` reads one rank loop, `dual_ranks`.  A sparse d_k is ranked exactly,
+as the loop did before it had a packed path: the lower half by `d_rank`,
+the upper half of a unimodular g once on the core off both cuts, rank
+d_k + b_k rows by rank d_k + b_{k+1} columns, where the plain path keeps
+all C(n, k+1) columns.  A d_k with at least a share `DENSE` of its cells
+nonzero is ranked mod p = 2^19 - 1 first, by `linalg.rank_mod_p`: each row
+is one Python int in 64-bit signed slots, a row update adds less than
+(p/2)^2 < 2^36 to a slot, and a row meets at most C(16, 8) = 12870 pivots,
+so the slots stay below 2^63.  Above the middle of a unimodular g, a d_k
+whose dual is dense is not even built: its integer matrix is d_{n-1-k}
+transposed up to signs, so it has the same rank mod p.
+The settle rule.  A minor nonzero mod p is nonzero over Q, so the rank
+rho_k mod p is at most the rank r_k over Q, and as
+b_k = C(n, k) - r_k - r_{k-1} >= 0, u_k = C(n, k) - rho_k - rho_{k-1} is at
+least b_k.  Where u_k = 0, both r_k = rho_k and r_{k-1} = rho_{k-1}.  An
+exact rank is settled by itself, and for unimodular g r_k = r_{n-1-k}
+carries a settled rank to its dual degree.  Going up, with r_{k-1} settled,
+C(n, k) = rho_k + r_{k-1} settles rho_k; each other degree is ranked
+exactly on its core.  So a bad prime only leaves more degrees open: no
+answer depends on it.
+Why mod-p pivots cut valid cores.  The rows that became pivots have a
+minor nonzero mod p at the pivot columns, so nonzero over Q, and those
+columns are independent over Q as well as mod p.  If the minor of d_{k-1}
+at rows R and columns S is invertible, d_{k-1} d_k = 0 writes the rows of
+d_k at S through the others, so they may be dropped; for unimodular g the
+columns of d_k paired with such columns of d_{n-2-k} may be cut likewise.
+Both hold over Q and mod p, so a core keeps the exact rank and the rank mod
+p, whichever kind of pivots cut it.
+`d_rank`, `betti_number` and `cocycles` stay the plain per-degree path, so
+the duality checks that read them (the corpus, the tests) assume nothing.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
 `exterior.extend_as_derivation`; `invariant_cohomology_dims` makes one
 `derivation_rows` call per degree over the basis forms that Z^i uses,
@@ -47,7 +73,10 @@ from .errors import DimensionMismatch, SubspaceError
 from .exterior import KForm, derivation_rows, extend_as_derivation, lex
 from .liealg import LieAlgebra
 from .linalg import (Subspace, clear_denominators, combine, identity, nullspace,
-                     rank, vec)
+                     rank, rank_mod_p, vec)
+
+# a d_k with at least this share of its cells nonzero is ranked mod p first
+DENSE = 0.15
 
 
 def _check_degree(k: int):
@@ -125,37 +154,72 @@ class CEComplex:
                 self._rank[k] = rank(rows, comb(self.n, k + 1), pivots=pivots)
         return self._rank[k]
 
-    def dual_ranks(self) -> list[int]:
-        """rank d_k for k = 0..n, valid only for a unimodular algebra.
+    def dual_ranks(self, unimodular: bool = True) -> list[int]:
+        """rank d_k for k = 0..n, every one exact: the one rank loop of
+        `betti`, by the settle rule of the module docstring.  The duality
+        cuts and the mirrored degrees need a unimodular algebra; pass False
+        for any other.
 
         There d_k and d_{n-1-k} are adjoint under the wedge pairing, up to
         the signed complement of their indices, so the columns e_J of d_k
         whose complements [n] - J are pivots of d_{n-2-k} depend on the rest
-        as the rows of d_{n-1-k} at those pivots do (`d_rank`).  The lower
-        half, 2k <= n - 2, is `d_rank`; each d_k above it is ranked once on
-        its core, off the rows at the pivots of d_{k-1} and the columns
-        paired with the pivots of d_{n-2-k}, which the lower half has
-        given.  Those core pivots span the columns of d_k, so they cut the
+        as the rows of d_{n-1-k} at those pivots do (`d_rank`).  Every core
+        drops the rows at the pivots of d_{k-1}; above the lower half,
+        2k <= n - 2, a unimodular core also cuts the columns paired with the
+        pivots of d_{n-2-k}, and so does every core ranked exactly after the
+        settle rule.  Core pivots span the columns of d_k, so they cut the
         rows of d_{k+1}, but they are not the echelon's that `cocycles`
-        reads: nothing above the lower half is cached.
+        reads: only `d_rank` caches, and it ranks the sparse d_k of the
+        lower half, or of every degree when g is not unimodular.
         """
         n, full = self.n, (1 << self.n) - 1
-        ranks, pivots = [], []
-        for k in range(n):
-            if 2 * k <= n - 2:
-                ranks.append(self.d_rank(k))
-                pivots.append(self._pivots[k])
-                continue
-            skip, cut = (pivots[k - 1] if k else ()), set()
-            if k < n - 1:
+        ranks: list[int] = []
+        pivots: list = []  # independent columns of d_k over Q, or None
+        exact: list[bool] = []
+
+        def core(k: int) -> list[dict]:
+            skip, cut = (k and pivots[k - 1]) or (), set()
+            if unimodular and 0 <= n - 2 - k < len(pivots):
                 bits, pos = lex(n, n - 1 - k)[1], lex(n, k + 1)[2]
-                cut = {pos[full ^ bits[p]] for p in pivots[n - 2 - k]}
-            rows = [{j: v for j, v in r.items() if j not in cut}
+                cut = {pos[full ^ bits[p]] for p in pivots[n - 2 - k] or ()}
+            return [{j: v for j, v in r.items() if j not in cut}
                     for i, r in enumerate(self.d_rows(k)) if i not in skip]
-            found: set = set()
-            ranks.append(rank(rows, comb(n, k + 1), pivots=found))
+
+        for k in range(n):
+            # above the middle of a unimodular g, d_k is d_{n-1-k} transposed
+            # up to signs: as dense, and of the same rank mod p
+            above = unimodular and n - 1 - k < k
+            if above:
+                dense = not exact[n - 1 - k]
+            else:
+                rows, width = self.d_rows(k), comb(n, k + 1)
+                dense = sum(map(len, rows)) >= DENSE * len(rows) * width
+            if above and dense:
+                rho, found = ranks[n - 1 - k], None
+            elif dense:
+                rho, found = rank_mod_p(core(k))
+            elif 2 * k <= n - 2 or not unimodular:
+                rho, found = self.d_rank(k), self._pivots[k]
+            else:
+                found = set()
+                rho = rank(core(k), comb(n, k + 1), pivots=found)
+            ranks.append(rho)
             pivots.append(found)
-        return ranks + [0]
+            exact.append(not dense)
+        ranks.append(0)
+        # rho_k <= r_k, so u_k = C(n, k) - rho_k - rho_{k-1} >= b_k >= 0, and
+        # u_k = 0 makes both ranks exact.  Going up, r_{k-1} is exact by now,
+        # and above the middle of a unimodular g so is r_{n-1-k} = r_k
+        for k in range(n):
+            if (exact[k] or comb(n, k) == ranks[k] + (k and ranks[k - 1])
+                    or comb(n, k + 1) == ranks[k + 1] + ranks[k]):
+                continue
+            if unimodular and n - 1 - k < k:
+                ranks[k] = ranks[n - 1 - k]
+            else:
+                pivots[k] = set()
+                ranks[k] = rank(core(k), comb(n, k + 1), pivots=pivots[k])
+        return ranks
 
     def cocycles(self, k: int) -> Subspace:
         """Z^k as an explicit subspace of Lambda^k (lex coordinates)."""
@@ -222,14 +286,12 @@ class CohomologyReport:
 def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
     """dim Z^k, dim B^k and b_k of g for k = 0..n, from the ranks of d_k.
 
-    For unimodular g each d_k above the lower half is ranked on its
-    Poincare duality core (`CEComplex.dual_ranks`); other algebras rank
-    every d_k by `CEComplex.d_rank`, which stays the plain per-degree path.
+    The ranks come from `CEComplex.dual_ranks`: dense d_k mod p first,
+    each rank settled or ranked exactly, on Poincare duality cores for
+    unimodular g; `CEComplex.d_rank` stays the plain per-degree path.
     """
     cx = complex if complex is not None else complex_of(g)
-    n = g.n
-    r = (cx.dual_ranks() if g.is_unimodular()
-         else [cx.d_rank(k) for k in range(n + 1)])
+    n, r = g.n, cx.dual_ranks(g.is_unimodular())
     ks = range(n + 1)
     return CohomologyReport(n, tuple(comb(n, k) - r[k] for k in ks),
                             tuple(k and r[k - 1] for k in ks),

@@ -10,12 +10,18 @@ gcd of its entries, so entries stay small integers instead of fractions.
 primitive integer rows: `rref` divides them by their leads, `nullspace`
 reads integer null vectors off them, and a `Subspace` stores them and
 reduces dense or sparse vectors against them in integers.
+The one exception to that single elimination is `rank_mod_p`, the packed
+rank modulo the prime `PRIME`, which reduces residues, not exact integers:
+it returns a lower bound on the rank over Q, for callers that certify it
+(`cohomology`), and pivot columns that are independent over Q.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from struct import Struct
 
 from .errors import DimensionMismatch, LieKernelError
 
@@ -174,6 +180,57 @@ def rank(rows, ncols: int | None = None, pivots: set | None = None) -> int:
     if pivots is not None:
         pivots.update(found)
     return len(found)
+
+
+PRIME = (1 << 19) - 1
+
+_SLOT = 1 << 63  # the bias of a signed 64-bit slot
+
+
+def rank_mod_p(rows) -> tuple[int, list[int]]:
+    """(rank mod `PRIME`, pivot columns) of integer dict rows.
+
+    The rank mod p never exceeds the rank over Q, and the rows that become
+    pivots have a nonzero minor mod p at the pivot columns, so that minor is
+    nonzero over Q and the pivot columns are independent over Q.  Each row is
+    one Python int, its entries in 64-bit signed slots over the columns that
+    occur (Kronecker substitution), so reducing it by a pivot row is one
+    big-int multiply-subtract.  Pivot rows keep balanced residues, |x| <= p/2,
+    with 1 at their pivot, and the factor is a balanced residue, so an update
+    adds less than (p/2)^2 < 2^36 to a slot: a row meets fewer pivots than
+    2^26, so its slots stay below 2^63 without reduction.  A row is reduced
+    by the pivots in column order, which clears each pivot column for good,
+    and then read once, mod p, for its first nonzero column.
+    """
+    p = PRIME
+    half = p // 2
+    cols = sorted(set().union(*rows))
+    at = {c: i for i, c in enumerate(cols)}
+    width = len(cols)
+    packing = Struct(f"<{width}Q")  # little-endian: slot i at bit 64 i
+    bias = int.from_bytes(packing.pack(*[_SLOT] * width), "little")
+    mask = (1 << 64) - 1
+    pivots: list[tuple[int, int]] = []  # (slot, unbiased packed row)
+    for row in rows:
+        slots = [_SLOT] * width
+        for c, v in row.items():
+            v %= p
+            slots[at[c]] += v - p if v > half else v
+        r = int.from_bytes(packing.pack(*slots), "little")
+        for s, q in pivots:
+            if f := (((r >> (s << 6)) & mask) - _SLOT) % p:
+                r -= (f - p if f > half else f) * q
+        res = [(x - _SLOT) % p
+               for x in packing.unpack(r.to_bytes(width << 3, "little"))]
+        lead = next((i for i, x in enumerate(res) if x), None)
+        if lead is None:
+            continue
+        inv = pow(res[lead], -1, p)
+        slots = [_SLOT + (x - p if x > half else x)
+                 for x in (y * inv % p for y in res)]
+        insort(pivots, (lead, int.from_bytes(packing.pack(*slots), "little")
+                        - bias))
+    return len(pivots), sorted(cols[s] for s, _ in pivots)
 
 
 def nullspace(rows, ncols: int | None = None) -> list[dict]:

@@ -9,12 +9,12 @@ fixtures, also under unimodular changes of basis; so are the direct sum,
 subalgebra and graded extension built through `from_brackets`,
 `is_unimodular` and the union-find split test; so are the derivation
 algebra from the integer constants and characteristic nilpotency by the
-chain of Der(g) acting on g.  `betti`, which ranks the upper half of a
-unimodular complex on its Poincare duality cores, is compared against the
-plain per-degree ranks, and the corpus duality check is shown to read
-those plain ranks.  The cached complex and
-kernel are checked for identity, for not outliving their algebra, and the
-complex for being the only one the corpus checks build.
+chain of Der(g) acting on g.  `betti`, which ranks dense d_k mod p first
+and the upper half of a unimodular complex on its Poincare duality cores,
+is compared against the plain per-degree ranks, also with a bad prime, and
+the corpus duality check is shown to read those plain ranks.  The cached
+complex and kernel are checked for identity, for not outliving their
+algebra, and the complex for being the only one the corpus checks build.
 """
 
 import gc
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
-from liekernel import cohomology, parse_algebra
+from liekernel import cohomology, linalg, parse_algebra
 from liekernel.cohomology import CEComplex, betti, ce_differential, complex_of
 from liekernel.corpus import check_algebra
 from liekernel.errors import JacobiError
@@ -42,6 +42,8 @@ from liekernel.linalg import Subspace, inverse, mat_vec, rank, transpose
 from conftest import random_form
 
 FIXTURES = {e.name: e.algebra for e in load_corpus() if e.algebra.n <= 4}
+SU2_CUBED = (FIXTURES["su2"].direct_sum(FIXTURES["su2"])
+             .direct_sum(FIXTURES["su2"]))
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 NONZERO = SMALL.filter(bool)
 # every value a Fraction with denominator 2 to 5
@@ -67,22 +69,34 @@ def algebras(draw):
                        for i in range(n)])
 
 
+def unit_lu(n, lower, upper):
+    """P = L U for unit triangular L and U, with L[i][j] = lower(i, j)
+    below the diagonal and U[i][j] = upper(i, j) above it."""
+    lo = [[1 if i == j else lower(i, j) if j < i else 0 for j in range(n)]
+          for i in range(n)]
+    up = [[1 if i == j else upper(i, j) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    return [[sum(lo[i][m] * up[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 @st.composite
 def unimodular(draw, n):
     """P = L U with unit triangular L, U of entries in {-1, 0, 1}."""
     entry = st.sampled_from((-1, 0, 1))
-    lo = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
-          for i in range(n)]
-    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
-          for i in range(n)]
-    return [[sum(lo[i][m] * up[m][j] for m in range(n)) for j in range(n)]
-            for i in range(n)]
+    return unit_lu(n, lambda i, j: draw(entry), lambda i, j: draw(entry))
 
 
 def change_basis(g, p):
     """g in the basis f_a = sum_i p[i][a] e_i."""
     f, q = transpose(p), inverse(p)
     return LieAlgebra([[mat_vec(q, g.bracket(u, v)) for v in f] for u in f])
+
+
+def in_fixed_basis(g):
+    """g under one fixed unimodular change of basis, which fills d_k in."""
+    return change_basis(g, unit_lu(g.n, lambda i, j: (i + 2 * j) % 3 - 1,
+                                   lambda i, j: (2 * i + j) % 3 - 1))
 
 
 def rescaled(g, s):
@@ -336,6 +350,14 @@ def test_duality_cores_need_unimodularity():
 @example(FIXTURES["su2"].direct_sum(FIXTURES["su2"])
          .direct_sum(FIXTURES["h3"]))  # n = 9
 @example(FIXTURES["aff1"].direct_sum(FIXTURES["su2"]))  # not unimodular
+# dense d_k, ranked mod p first: su(3) and su(2)^3 settle every degree,
+# su(3) + R leaves d_3 and d_4 to exact cores, the nilpotent cn7 settles
+# nothing, and r4 + su(2) is not unimodular
+@example(in_fixed_basis(su3()))
+@example(in_fixed_basis(SU2_CUBED))
+@example(in_fixed_basis(su3().direct_sum(FIXTURES["R1"])))
+@example(in_fixed_basis(seven_dim_characteristically_nilpotent(1)))
+@example(in_fixed_basis(FIXTURES["r4"].direct_sum(FIXTURES["su2"])))
 @example(LieAlgebra.abelian(0))
 @example(FIXTURES["R1"])
 @example(FIXTURES["R2"])
@@ -346,6 +368,26 @@ def test_betti_matches_the_plain_per_degree_ranks(g):
     assert report.z_dims == tuple(comb(n, k) - ranks[k] for k in range(n + 1))
     assert report.b_dims == tuple(k and ranks[k - 1] for k in range(n + 1))
     assert report.betti == tuple(cx.betti_number(k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_no_betti_number_depends_on_a_good_prime(monkeypatch, prime):
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    exact = []
+    rank = cohomology.rank
+    monkeypatch.setattr(cohomology, "rank", lambda *a, **k:
+                        exact.append(rank(*a, **k)) or exact[-1])
+    for g in (in_fixed_basis(su3()), in_fixed_basis(SU2_CUBED)):
+        report, cx = betti(g), complex_of(g)
+        assert report.betti == tuple(cx.betti_number(k) for k in range(g.n + 1))
+    # d_0 and d_{n-1} are zero; a nonzero exact rank is a degree that the
+    # ranks mod p left open
+    assert any(exact)
+
+
+def test_changed_basis_su3_plus_su2_betti_is_the_kunneth_product():
+    g = in_fixed_basis(su3().direct_sum(FIXTURES["su2"]))
+    assert betti(g).betti == (1, 0, 0, 2, 0, 1, 1, 0, 2, 0, 0, 1)
 
 
 @pytest.mark.parametrize("g", [

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import dense_oracle
 from conftest import random_form
 from liekernel import (CEComplex, KVector, LieAlgebra, Subspace, basis_form,
                        betti, dP, dP_properties, kernel_of_psi,
@@ -9,7 +11,7 @@ from liekernel import (CEComplex, KVector, LieAlgebra, Subspace, basis_form,
                        pairing, parse_algebra, pdual, stabilizer, vector_of,
                        wedge)
 from liekernel.errors import DimensionMismatch, MomentMapError
-from liekernel.families import SU3_BASIS_NAMES, su2, su3, u2
+from liekernel.families import SU3_BASIS_NAMES, load_corpus, su2, su3, u2
 from liekernel.exterior import multi_indices
 from liekernel.kernelmap import ad_multivector
 
@@ -303,3 +305,14 @@ def test_ad_rows_are_built_only_for_the_terms_asked_for():
     assert built == sum(1 for q in z if q) <= g.n
     assert ad_multivector(g, z, p) == image
     assert sum(len(rows) for rows in g._ad_rows) == built
+
+
+def test_dp_properties_agree_with_b2_and_b3_of_the_dense_oracle():
+    # d_P is injective iff b_2 = 0, and onto Z^3 iff b_3 = 0
+    for entry in load_corpus():
+        g, n = entry.algebra, entry.algebra.n
+        r = [dense_oracle.rank(dense_oracle.d_dense(g, k)) for k in range(4)]
+        props = dP_properties(g)
+        assert props.injective == (comb(n, 2) - r[2] - r[1] == 0), entry.name
+        assert props.surjective_onto_Z3 == (comb(n, 3) - r[3] - r[2] == 0), \
+            entry.name

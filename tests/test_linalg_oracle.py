@@ -3,8 +3,9 @@
 Small random rational matrices (sparse and dense, tall and wide, with zero
 rows, empty, and with large coefficients) go through every public routine
 and are compared against the old dense elimination in `dense_oracle` or
-against sympy.  Betti numbers of permuted, rescaled direct sums are checked
-against Kunneth products.
+against sympy.  The packed rank mod p is checked on integer rows against
+sympy's rank over GF(p) and the exact rank.  Betti numbers of permuted,
+rescaled direct sums are checked against Kunneth products.
 """
 
 from fractions import Fraction
@@ -13,13 +14,14 @@ from math import lcm
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import dense_oracle
-from liekernel import LieAlgebra, betti, parse_algebra
+from liekernel import LieAlgebra, betti, linalg, parse_algebra
 from liekernel.errors import LieKernelError
 from liekernel.g2flow import Poly
 from liekernel.linalg import (Subspace, combine, det, inverse, nullspace, rank,
-                              rref)
+                              rank_mod_p, rref)
 
 SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 LARGE = st.builds(Fraction, st.integers(-10**30, 10**30),
@@ -51,6 +53,25 @@ def row_combinations(draw):
     value = RINGS[draw(st.sampled_from(sorted(RINGS)))]
     row = st.dictionaries(st.integers(0, 5), value, max_size=4)
     return draw(st.lists(st.tuples(value, row), max_size=5))
+
+
+@st.composite
+def integer_rows(draw, p):
+    """Integer dict rows on columns 0..7: small entries, multiples of p,
+    entries far beyond p and explicit zeros; some rows empty or all zero,
+    and some the sum of two others."""
+    value = st.one_of(st.integers(-4, 4), st.integers(-5, 5).map(p.__mul__),
+                      st.integers(-10**40, 10**40),
+                      st.integers(-3, 3).map(lambda a: a * p + 1))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 7), value,
+                                         max_size=8), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append({j: a.get(j, 0) + b.get(j, 0) for j in {*a, *b}})
+    if draw(st.booleans()):
+        rows.append({j: 0 for j in draw(st.sets(st.integers(0, 7)))})
+    return rows
 
 
 @st.composite
@@ -117,6 +138,25 @@ def test_det_and_inverse_match_sympy(m):
             inverse(m)
     else:
         assert inverse(m) == [from_sympy(s.inv().row(i)) for i in range(len(m))]
+
+
+@EXAMPLES
+@given(st.sampled_from((2, 3, linalg.PRIME)), st.data())
+def test_packed_rank_is_the_rank_mod_p_with_independent_pivots(p, data):
+    rows = data.draw(integer_rows(p))
+    saved, linalg.PRIME = linalg.PRIME, p
+    try:
+        rho, pivots = rank_mod_p(rows)
+    finally:
+        linalg.PRIME = saved
+    field = sympy.GF(p)
+    assert rho == DomainMatrix([[field(r.get(j, 0)) for j in range(8)]
+                                for r in rows], (len(rows), 8), field).rank()
+    assert rho <= rank(rows, 8)
+    # the pivot columns are independent over Q: the rows have exact rank
+    # rho on them
+    assert pivots == sorted(set(pivots)) and len(pivots) == rho
+    assert rank([{j: r[j] for j in pivots if j in r} for r in rows], 8) == rho
 
 
 @EXAMPLES
