@@ -52,8 +52,11 @@ columns are independent over Q as well as mod p.  If the minor of d_{k-1}
 at rows R and columns S is invertible, d_{k-1} d_k = 0 writes the rows of
 d_k at S through the others, so they may be dropped; for unimodular g the
 columns of d_k paired with such columns of d_{n-2-k} may be cut likewise.
-Both hold over Q and mod p, so a core keeps the exact rank and the rank mod
-p, whichever kind of pivots cut it.
+A core cut by either kind of pivots keeps the rank r_k over Q, so its rank
+mod p is at most r_k, which is all the settle rule needs; only a core cut
+by mod-p pivots also keeps the rank of d_k mod p.
+Unimodularity is read off the complex itself: d e^{[n] - a} is
++-tr(ad e_a) e^{[n]}, so g is unimodular exactly when d_{n-1} = 0.
 `d_rank`, `betti_number` and `cocycles` stay the plain per-degree path, so
 the duality checks that read them (the corpus, the tests) assume nothing.
 The Lie derivative L_a = -ad_a^* goes through the same kernel, by
@@ -154,11 +157,11 @@ class CEComplex:
                 self._rank[k] = rank(rows, comb(self.n, k + 1), pivots=pivots)
         return self._rank[k]
 
-    def dual_ranks(self, unimodular: bool = True) -> list[int]:
+    def dual_ranks(self) -> list[int]:
         """rank d_k for k = 0..n, every one exact: the one rank loop of
         `betti`, by the settle rule of the module docstring.  The duality
-        cuts and the mirrored degrees need a unimodular algebra; pass False
-        for any other.
+        cuts and the mirrored degrees are taken only when d_{n-1} = 0, that
+        is when the algebra is unimodular.
 
         There d_k and d_{n-1-k} are adjoint under the wedge pairing, up to
         the signed complement of their indices, so the columns e_J of d_k
@@ -173,6 +176,7 @@ class CEComplex:
         lower half, or of every degree when g is not unimodular.
         """
         n, full = self.n, (1 << self.n) - 1
+        unimodular = n > 0 and not any(self.d_rows(n - 1))
         ranks: list[int] = []
         pivots: list = []  # independent columns of d_k over Q, or None
         exact: list[bool] = []
@@ -187,7 +191,8 @@ class CEComplex:
 
         for k in range(n):
             # above the middle of a unimodular g, d_k is d_{n-1-k} transposed
-            # up to signs: as dense, and of the same rank mod p
+            # up to signs: as dense, and of its rank mod p, which is at least
+            # the rank mod p of the core of d_{n-1-k} and at most r_k
             above = unimodular and n - 1 - k < k
             if above:
                 dense = not exact[n - 1 - k]
@@ -291,7 +296,7 @@ def betti(g: LieAlgebra, complex: CEComplex | None = None) -> CohomologyReport:
     unimodular g; `CEComplex.d_rank` stays the plain per-degree path.
     """
     cx = complex if complex is not None else complex_of(g)
-    n, r = g.n, cx.dual_ranks(g.is_unimodular())
+    n, r = g.n, cx.dual_ranks()
     ks = range(n + 1)
     return CohomologyReport(n, tuple(comb(n, k) - r[k] for k in ks),
                             tuple(k and r[k - 1] for k in ks),
